@@ -435,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=True,
         help="serve repeated query templates from the compliant plan "
         "cache, skipping the optimizer on hot hits (default: on; "
-        "--no-plan-cache falls back to per-SQL-text memoization)",
+        "--no-plan-cache optimizes and guards every request afresh)",
     )
 
     audit = sub.add_parser(

@@ -92,6 +92,10 @@ class FaultError(ExecutionError):
     propagate; only ``FaultError`` subclasses are eligible for retry,
     failover, and graceful degradation to a partial-failure result."""
 
+    #: Simulated instant the fault was detected; stamped by the
+    #: scheduler before the error leaves its transfer or admission code.
+    at: float | None = None
+
 
 class TransferError(FaultError):
     """A cross-site transfer failed at a SHIP boundary.

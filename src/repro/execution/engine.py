@@ -30,8 +30,9 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ComplianceViolationError, ExecutionError
+from ..errors import ExecutionError
 from ..geo import GeoDatabase, NetworkModel, synthetic_network
+from ..optimizer.validator import guarded_plan
 from ..plan import PhysicalPlan
 from ..policy import PolicyEvaluator
 from ..trace import current_recorder
@@ -145,22 +146,7 @@ class ExecutionEngine:
 
         ``parallel`` overrides the engine-level default for one call.
         """
-        pre_validated = False
-        if not isinstance(plan, PhysicalPlan):
-            pre_validated = (
-                getattr(plan, "compliance_validated", False)
-                and getattr(plan, "validated_by", None) is self.policy_guard
-            )
-            plan = plan.plan
-        if self.policy_guard is not None and not pre_validated:
-            from ..optimizer.validator import check_compliance
-
-            violations = check_compliance(plan, self.policy_guard)
-            if violations:
-                details = "; ".join(str(v) for v in violations)
-                raise ComplianceViolationError(
-                    f"refusing to execute non-compliant plan: {details}"
-                )
+        plan = guarded_plan(plan, self.policy_guard, "execute")
         use_parallel = self.parallel if parallel is None else parallel
         if self.faults and not use_parallel:
             raise ExecutionError(

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..geo import NetworkModel
-
 
 @dataclass
 class ShipRecord:
@@ -265,31 +263,6 @@ class ExecutionMetrics:
         if self.fragments:
             return sum(f.compute_seconds for f in self.fragments)
         return sum(op.seconds for op in self.operators)
-
-    def record_ship(
-        self,
-        network: NetworkModel,
-        source: str,
-        target: str,
-        rows: int,
-        nbytes: int,
-        wire_bytes: int | None = None,
-        chunks: int = 1,
-    ) -> None:
-        seconds = network.transfer_time(
-            source, target, nbytes if wire_bytes is None else wire_bytes
-        )
-        self.ships.append(
-            ShipRecord(
-                source,
-                target,
-                rows,
-                nbytes,
-                seconds,
-                wire_bytes=wire_bytes,
-                chunks=chunks,
-            )
-        )
 
     def record_operator(
         self, operator: str, location: str, rows_out: int, seconds: float

@@ -27,9 +27,9 @@ from ..plan import (
     TableScan,
     UnionAll,
 )
-from ..trace import current_recorder
 from .metrics import ExecutionMetrics
-from .wire import ShipConfig, encode_ship
+from .shipping import ship_boundary
+from .wire import ShipConfig
 
 Row = tuple
 Result = tuple[list[str], list[Row]]  # (column names, rows) — unpacked shape
@@ -197,44 +197,19 @@ class OperatorExecutor:
     def _ship(self, node: Ship) -> RowBatch:
         assert node.child is not None
         batch = self.run(node.child)
-        nbytes = batch.nbytes
-        wire_bytes: int | None = None
-        chunks: int | None = None
-        if self.ship.active:
-            # Encode for the wire and hand the *decoded* rows onward, so
-            # the codec sits on the data path: a round-trip bug diverges
-            # rows, not just byte counts.
-            wire = encode_ship(
-                batch.columns, batch.rows, logical_bytes=nbytes, config=self.ship
-            )
-            wire_bytes = wire.wire_bytes
-            chunks = len(wire.chunks)
-            batch = RowBatch(batch.columns, wire.decode_rows(), nbytes=nbytes)
-        self.metrics.record_ship(
-            self.network,
-            node.source,
-            node.target,
+        decoded = ship_boundary(
+            node,
+            batch.columns,
             len(batch.rows),
-            nbytes,
-            wire_bytes=wire_bytes,
-            chunks=1 if chunks is None else chunks,
+            batch.nbytes,
+            lambda: batch.rows,
+            self.network,
+            self.metrics,
+            self.ship,
         )
-        recorder = current_recorder()
-        if recorder is not None:
-            recorder.record_local_ship(
-                node,
-                rows=len(batch.rows),
-                nbytes=nbytes,
-                columns=batch.columns,
-                seconds=self.network.transfer_time(
-                    node.source,
-                    node.target,
-                    nbytes if wire_bytes is None else wire_bytes,
-                ),
-                wire_bytes=wire_bytes,
-                chunks=chunks,
-            )
-        return batch
+        if decoded is None:
+            return batch
+        return RowBatch(batch.columns, decoded, nbytes=batch.nbytes)
 
     # -- joins -----------------------------------------------------------------
 

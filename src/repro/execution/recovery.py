@@ -105,6 +105,10 @@ class ChunkLedger:
     source (the delivered prefix is already at the target).  A consumer
     failover changes the target site — a fresh key — so the full
     transfer restarts, exactly as physical reality would demand.
+
+    The scheduler keeps one ledger per run for streamed transfers and
+    gives every monolithic transfer a throwaway one: a monolithic
+    transfer is the one-unit stream that remembers nothing.
     """
 
     def __init__(self) -> None:

@@ -58,6 +58,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from functools import partial
 
 from ..catalog import FRESHNESS_EPS
 from ..errors import (
@@ -95,8 +96,9 @@ from .metrics import (
 )
 from .operators import OperatorExecutor, RowBatch
 from .recovery import ChunkLedger, FailoverPlanner, RetryPolicy
+from .shipping import wire_round_trip
 from .vectorized import BatchOperatorExecutor, ColumnBatch
-from .wire import ShipConfig, ShipTransfer, WireChunk, encode_ship
+from .wire import ShipConfig, ShipTransfer, WireChunk
 
 
 def validate_worker_count(max_workers: int | None) -> int:
@@ -112,9 +114,10 @@ def validate_worker_count(max_workers: int | None) -> int:
     return validate_positive_int(max_workers, "worker count")
 
 
-class _FragmentExecutor(OperatorExecutor):
-    """Evaluator for one fragment body: cut SHIP leaves resolve to the
-    producer fragments' already-computed results instead of recursing.
+class _CutShips:
+    """Mixin over either operator backend for one fragment body: cut
+    SHIP leaves resolve to the producer fragments' already-computed
+    results instead of recursing.
 
     The transfer itself is accounted once, by the coordinator, when the
     consumer is admitted — so metrics totals match the sequential engine.
@@ -139,28 +142,17 @@ class _FragmentExecutor(OperatorExecutor):
             ) from None
 
 
-class _BatchFragmentExecutor(BatchOperatorExecutor):
-    """Columnar twin of :class:`_FragmentExecutor`: cut SHIP leaves are
+class _FragmentExecutor(_CutShips, OperatorExecutor):
+    """Row backend over one fragment body."""
+
+
+class _BatchFragmentExecutor(_CutShips, BatchOperatorExecutor):
+    """Columnar backend over one fragment body: cut SHIP leaves are
     where shipped row batches re-enter columnar form (the SHIP-boundary
     conversion rule — fragments always exchange rows)."""
 
-    def __init__(
-        self,
-        database: GeoDatabase,
-        network: NetworkModel,
-        metrics: ExecutionMetrics,
-        ship_results: dict[int, RowBatch],
-    ) -> None:
-        super().__init__(database, network, metrics)
-        self._ship_results = ship_results
-
     def _ship(self, node: Ship) -> ColumnBatch:
-        try:
-            batch = self._ship_results[id(node)]
-        except KeyError:  # pragma: no cover - guards a fragmenter invariant
-            raise ExecutionError(
-                f"fragment body contains an un-cut SHIP ({node.describe()})"
-            ) from None
+        batch = super()._ship(node)
         return ColumnBatch.from_rows(batch.columns, batch.rows)
 
 
@@ -186,6 +178,19 @@ def validate_executor_name(executor: str) -> str:
             f"unknown executor backend {executor!r}; expected one of: {known}"
         )
     return executor
+
+
+def _failed_outcome(error: FaultError, retries_left: bool) -> str:
+    """Trace outcome of a failed send; only ``"transient"`` is retried."""
+    if isinstance(error, SiteUnavailableError):
+        return "site_down"
+    if isinstance(error, CircuitOpenError):
+        # Fast-fail: no backoff, no retries — the breaker already knows
+        # the link is bad.
+        return "circuit_open"
+    if not error.transient:
+        return "link_down"
+    return "transient" if retries_left else "retry_exhausted"
 
 
 class FragmentScheduler:
@@ -394,7 +399,7 @@ class _ChaosRun:
                     location=fragment.location,
                     error_type=type(error).__name__,
                     message=str(error),
-                    at_seconds=getattr(error, "at", 0.0) or 0.0,
+                    at_seconds=error.at or 0.0,
                 )
                 return False
             futures[pool.submit(self._compute, self.dag.fragments[index])] = index
@@ -458,20 +463,12 @@ class _ChaosRun:
                 not_before = self._failover(index, error, base)
                 continue
             try:
-                start = base
-                first_done = base
-                records: list[tuple[int, ShipRecord, float]] = []
-                for entry in fragment.inputs:
-                    first, delivered, record = self._transfer(
-                        entry.producer, site, not_before, consumer_index=index
-                    )
-                    records.append((entry.producer, record, delivered))
-                    start = max(start, delivered)
-                    first_done = max(first_done, first)
+                first_done, start, records = self._deliver_inputs(
+                    index, not_before, floor=base
+                )
             except SiteUnavailableError as error:
-                detected = getattr(error, "at", base)
                 if error.site == site:
-                    not_before = self._failover(index, error, detected)
+                    not_before = self._failover(index, error, error.at)
                 else:
                     # A producer's site died before its data got out:
                     # the computed rows are lost with the site, so the
@@ -479,12 +476,12 @@ class _ChaosRun:
                     # clock) recomputed at its new site after its own
                     # inputs are re-delivered there.
                     producer = self._producer_at(fragment, error.site)
-                    not_before = self._failover(producer, error, detected)
+                    not_before = self._failover(producer, error, error.at)
                 continue
             except (TransferError, FragmentTimeoutError) as error:
                 # A permanently dead or timed-out path into this site:
                 # route around it by re-placing the consumer.
-                not_before = self._failover(index, error, getattr(error, "at", base))
+                not_before = self._failover(index, error, error.at)
                 continue
             if self.scheduler.faults.site_down(site, start):
                 # The site died while its inputs were in flight; the
@@ -508,10 +505,7 @@ class _ChaosRun:
                     continue
                 gated = when != start
                 start = when
-            for producer, record, delivered in records:
-                self.ship_records[producer] = record
-                self.delivered[producer] = delivered
-            self.ready[index] = start
+            self._commit_deliveries(index, start, records)
             # First-chunk admission: a pipelined fragment (its body only
             # filters/projects/unions the streamed input) can start
             # emitting output chunks once its first input chunk landed;
@@ -529,6 +523,38 @@ class _ChaosRun:
             if index == self.dag.root_index:
                 self.delivered[index] = start
             return
+
+    def _deliver_inputs(
+        self, index: int, not_before: float, floor: float
+    ) -> tuple[float, float, list[tuple[int, ShipRecord, float]]]:
+        """Ship every input of fragment ``index`` to its current site.
+        Returns the instant the first chunk of every input has landed,
+        the instant all of them are fully delivered (neither earlier
+        than ``floor``), and the per-producer records — *buffered*, not
+        committed: the caller discards them when the attempt is
+        abandoned (failover, demotion), so only deliveries a fragment
+        actually consumed reach the metrics."""
+        fragment = self.dag.fragments[index]
+        first_done = start = floor
+        records: list[tuple[int, ShipRecord, float]] = []
+        for entry in fragment.inputs:
+            first, delivered, record = self._transfer(
+                entry.producer, fragment.location, not_before, consumer_index=index
+            )
+            records.append((entry.producer, record, delivered))
+            first_done = max(first_done, first)
+            start = max(start, delivered)
+        return first_done, start, records
+
+    def _commit_deliveries(
+        self, index: int, start: float, records: list[tuple[int, ShipRecord, float]]
+    ) -> None:
+        """Fragment ``index`` starts at ``start`` having consumed exactly
+        these deliveries."""
+        for producer, record, delivered in records:
+            self.ship_records[producer] = record
+            self.delivered[producer] = delivered
+        self.ready[index] = start
 
     def _check_deadline(self, now: float, index: int) -> None:
         """Cooperative load shedding: once the simulated clock passes
@@ -708,12 +734,12 @@ class _ChaosRun:
         wire = self._wire_cache.get(producer_index)
         if wire is None:
             batch, _compute = self.results[producer_index]
-            wire = encode_ship(
-                batch.columns, batch.rows, logical_bytes=batch.nbytes, config=self.ship
+            wire, decoded = wire_round_trip(
+                batch.columns, batch.rows, batch.nbytes, self.ship
             )
             self._wire_cache[producer_index] = wire
             self.results_decoded[producer_index] = RowBatch(
-                list(batch.columns), wire.decode_rows(), nbytes=batch.nbytes
+                list(batch.columns), decoded, nbytes=batch.nbytes
             )
         return wire
 
@@ -738,269 +764,140 @@ class _ChaosRun:
         consumer_index: int,
     ) -> tuple[float, float, ShipRecord]:
         """Simulate the delivery of ``producer_index``'s output to
-        ``target_site``: repeated attempts against the fault-aware
-        network with exponential backoff, bounded by the retry budget
-        and the per-fragment timeout.  Returns the first-chunk arrival
-        instant, the full-delivery instant, and the record of the
-        successful transfer (first == full for monolithic transfers)."""
-        producer = self.dag.fragments[producer_index]
-        source = producer.location
-        batch, _compute = self.results[producer_index]
-        # The measurement is cached on the batch itself, so retry and
-        # failover re-deliveries of the same output are O(1) here.
-        nbytes = batch.nbytes
-        wire = self._wire_transfer(producer_index) if self.ship.active else None
-        if wire is not None and self.ship.streaming and source != target_site:
-            return self._chunked_transfer(
-                producer_index, target_site, not_before, consumer_index, wire
-            )
-        billed = nbytes if wire is None else wire.wire_bytes
-        wire_bytes = None if wire is None else wire.wire_bytes
-        wire_chunks = None if wire is None else len(wire.chunks)
-        begin = max(self.ready[producer_index], not_before)
-        timeout = self.policy.fragment_timeout
-        now = begin
-        attempts = 0
-        def trace(outcome: str, at: float, seconds: float | None = None) -> None:
-            if self.recorder is not None:
-                self._trace_attempt(
-                    producer_index,
-                    consumer_index,
-                    source,
-                    target_site,
-                    batch,
-                    nbytes,
-                    attempts,
-                    outcome,
-                    at,
-                    seconds,
-                    wire_bytes=wire_bytes,
-                    chunks=wire_chunks,
-                )
+        ``target_site`` as a stream of send units on one connection:
+        repeated attempts per unit against the fault-aware network with
+        exponential backoff, bounded by the retry budget and the
+        per-fragment timeout.  Returns the first-unit arrival instant,
+        the full-delivery instant, and the record of the successful
+        transfer.
 
-        while True:
-            attempts += 1
-            try:
-                seconds = self.wan.attempt_transfer(source, target_site, billed, now)
-            except TransferError as error:
-                error.at = now
-                if isinstance(error, CircuitOpenError):
-                    # Fast-fail: no backoff, no retries — the breaker
-                    # already knows the link is bad.  The admission loop
-                    # consults failover next.
-                    self.breaker_fast_fails += 1
-                    trace("circuit_open", now)
-                    raise
-                if not error.transient or attempts >= self.policy.max_attempts:
-                    trace("link_down" if not error.transient else "retry_exhausted", now)
-                    raise
-                pause = self.policy.backoff(
-                    attempts, producer_index, source, target_site
-                )
-                if timeout is not None and (now + pause) - begin > timeout:
-                    trace("timeout", now)
-                    timeout_error = FragmentTimeoutError(
-                        f"inputs of fragment f{consumer_index} exceeded the "
-                        f"{timeout:g}s fragment timeout while retrying "
-                        f"{source} -> {target_site}",
-                        fragment_index=consumer_index,
-                    )
-                    timeout_error.at = now
-                    raise timeout_error from error
-                trace("transient", now)
-                now += pause
-                continue
-            except SiteUnavailableError as error:
-                error.at = now
-                trace("site_down", now)
-                raise
-            delivered = now + seconds
-            if timeout is not None and delivered - begin > timeout:
-                trace("timeout", now, seconds)
-                timeout_error = FragmentTimeoutError(
-                    f"delivery {source} -> {target_site} took "
-                    f"{delivered - begin:.3f}s, exceeding the {timeout:g}s "
-                    f"fragment timeout",
-                    fragment_index=consumer_index,
-                )
-                timeout_error.at = delivered
-                raise timeout_error
-            trace("delivered", now, seconds)
-            record = ShipRecord(
-                source=source,
-                target=target_site,
-                rows=len(batch.rows),
-                bytes=nbytes,
-                seconds=seconds,
-                attempts=attempts,
-                retry_wait_seconds=now - begin,
-                wire_bytes=wire_bytes,
-                chunks=1 if wire_chunks is None else wire_chunks,
-            )
-            return delivered, delivered, record
-
-    def _chunked_transfer(
-        self,
-        producer_index: int,
-        target_site: str,
-        not_before: float,
-        consumer_index: int,
-        wire: ShipTransfer,
-    ) -> tuple[float, float, ShipRecord]:
-        """Stream one logical transfer chunk by chunk on the simulated
-        clock.  Sends are serialized on the link in chunk order; chunk
-        ``k`` leaves no earlier than the instant the producer has it
+        Sends are serialized on the link in unit order; unit ``k``
+        leaves no earlier than the instant the producer has it
         (:meth:`_chunk_avail`) and no earlier than the link is free.
         The link's α is paid once per connection — re-paid after any
         fault broke it and on every resumed transfer.  Every delivered
-        chunk is acknowledged in the ledger, so retries and failover
-        re-deliveries send only the pending suffix and no chunk is ever
-        billed twice.  On completion exactly one payload-carrying ship
-        event rolls up the transfer."""
-        producer = self.dag.fragments[producer_index]
-        source = producer.location
+        unit is acknowledged in a ledger, so only the pending suffix is
+        ever sent and no unit is billed twice.
+
+        The two transports drive this one loop:
+
+        * **streamed** (a streaming config on a cross-site edge): one
+          unit per wire chunk from the producer's first-output instant,
+          acknowledged in the run-wide ledger — retries and failover
+          re-deliveries resume where the last invocation stopped, and
+          attempts and backoff accumulate across them; every attempt is
+          a payload-less chunk event and one payload-carrying ship event
+          rolls up the completed transfer.
+        * **monolithic** (everything else, including local moves and
+          compress-only under any config): the whole payload is the
+          only unit, sent once the producer is fully ready; its ledger
+          dies with the invocation, so a re-admitted consumer is
+          re-shipped and attempts and backoff count per invocation;
+          every attempt is itself a payload-carrying ship event."""
+        source = self.dag.fragments[producer_index].location
         batch, _compute = self.results[producer_index]
-        total = len(wire.chunks)
-        begin = max(
-            self.out_start.get(producer_index, self.ready[producer_index]), not_before
+        wire = self._wire_transfer(producer_index) if self.ship.active else None
+        streamed = wire is not None and self.ship.streaming and source != target_site
+        produced = self.ready[producer_index]
+        if streamed:
+            ledger, sizes = self.ledger, wire.chunk_sizes
+            produced = self.out_start.get(producer_index, produced)
+        else:
+            # The measurement is cached on the batch itself, so retry and
+            # failover re-deliveries of the same output are O(1) here.
+            ledger = ChunkLedger()
+            sizes = (batch.nbytes if wire is None else wire.wire_bytes,)
+        key = (producer_index, target_site)
+        trace = partial(
+            self._trace_attempt, producer_index, consumer_index, source, target_site, wire
         )
+        link = f"{source} -> {target_site}"
         timeout = self.policy.fragment_timeout
-        now = begin
+        begin = now = sent = max(produced, not_before)
         connected = False
-
-        def trace_chunk(
-            chunk: WireChunk,
-            attempt: int,
-            outcome: str,
-            at: float,
-            seconds: float | None = None,
-        ) -> None:
-            if self.recorder is not None:
-                self.recorder.emit(
-                    ChunkEvent(
-                        at=at,
-                        source=source,
-                        target=target_site,
-                        chunk=chunk.index,
-                        of=total,
-                        rows=chunk.rows,
-                        bytes=chunk.nbytes,
-                        attempt=attempt,
-                        outcome=outcome,
-                        seconds=seconds,
-                        producer=producer_index,
-                        consumer=consumer_index,
-                    ),
-                    stable=False,
-                )
-
-        for k in self.ledger.pending(producer_index, target_site, total):
-            chunk = wire.chunks[k]
-            now = max(now, self._chunk_avail(producer_index, k, total))
-            chunk_attempts = 0
+        for k in ledger.pending(*key, len(sizes)):
+            chunk = wire.chunks[k] if streamed else None
+            unit = f"chunk {k} of {link}" if streamed else link
+            jitter_key = (producer_index, source, target_site) + (
+                (k,) if streamed else ()
+            )
+            now = max(now, self._chunk_avail(producer_index, k, len(sizes)))
+            attempt = 0
             while True:
-                chunk_attempts += 1
-                self.ledger.note_attempt(producer_index, target_site)
+                attempt += 1
+                ledger.note_attempt(*key)
                 try:
-                    seconds = self.wan.attempt_chunk_transfer(
-                        source,
-                        target_site,
-                        chunk.nbytes,
-                        now,
-                        include_alpha=not connected,
+                    seconds = self.wan.attempt_transfer(
+                        source, target_site, sizes[k], now, include_alpha=not connected
                     )
-                except TransferError as error:
+                except (TransferError, SiteUnavailableError) as error:
                     connected = False
                     error.at = now
-                    if isinstance(error, CircuitOpenError):
+                    outcome = _failed_outcome(error, attempt < self.policy.max_attempts)
+                    if outcome == "circuit_open":
                         self.breaker_fast_fails += 1
-                        trace_chunk(chunk, chunk_attempts, "circuit_open", now)
+                    if outcome != "transient":
+                        # Permanent for this placement: the admission
+                        # loop consults failover next.
+                        trace(chunk, attempt, outcome, now)
                         raise
-                    if (
-                        not error.transient
-                        or chunk_attempts >= self.policy.max_attempts
-                    ):
-                        trace_chunk(
-                            chunk,
-                            chunk_attempts,
-                            "link_down" if not error.transient else "retry_exhausted",
-                            now,
-                        )
-                        raise
-                    pause = self.policy.backoff(
-                        chunk_attempts, producer_index, source, target_site, k
-                    )
+                    pause = self.policy.backoff(attempt, *jitter_key)
                     if timeout is not None and (now + pause) - begin > timeout:
-                        trace_chunk(chunk, chunk_attempts, "timeout", now)
+                        trace(chunk, attempt, "timeout", now)
                         timeout_error = FragmentTimeoutError(
-                            f"inputs of fragment f{consumer_index} exceeded "
-                            f"the {timeout:g}s fragment timeout while "
-                            f"retrying chunk {k} of {source} -> {target_site}",
+                            f"inputs of fragment f{consumer_index} exceeded the "
+                            f"{timeout:g}s fragment timeout while retrying {unit}",
                             fragment_index=consumer_index,
                         )
                         timeout_error.at = now
                         raise timeout_error from error
-                    trace_chunk(chunk, chunk_attempts, "transient", now)
-                    self.ledger.note_wait(producer_index, target_site, pause)
+                    trace(chunk, attempt, "transient", now)
+                    ledger.note_wait(*key, pause)
                     now += pause
                     continue
-                except SiteUnavailableError as error:
-                    connected = False
-                    error.at = now
-                    trace_chunk(chunk, chunk_attempts, "site_down", now)
-                    raise
                 arrived = now + seconds
                 if timeout is not None and arrived - begin > timeout:
-                    trace_chunk(chunk, chunk_attempts, "timeout", now, seconds)
+                    trace(chunk, attempt, "timeout", now, seconds)
+                    late = (
+                        f"{unit} would land {arrived - begin:.3f}s after the "
+                        f"transfer began"
+                        if streamed
+                        else f"delivery {unit} took {arrived - begin:.3f}s"
+                    )
                     timeout_error = FragmentTimeoutError(
-                        f"chunk {k} of {source} -> {target_site} would land "
-                        f"{arrived - begin:.3f}s after the transfer began, "
-                        f"exceeding the {timeout:g}s fragment timeout",
+                        f"{late}, exceeding the {timeout:g}s fragment timeout",
                         fragment_index=consumer_index,
                     )
                     timeout_error.at = arrived
                     raise timeout_error
-                trace_chunk(chunk, chunk_attempts, "delivered", now, seconds)
-                self.ledger.ack(
-                    producer_index, target_site, k, arrived, seconds, chunk.nbytes
-                )
+                trace(chunk, attempt, "delivered", now, seconds)
+                ledger.ack(*key, k, arrived, seconds, sizes[k])
                 connected = True
-                now = arrived  # the link frees up when this send lands
+                sent, now = now, arrived  # the link frees up when this send lands
                 break
 
-        acks = self.ledger.acked(producer_index, target_site)
-        first = min(ack.at_seconds for ack in acks.values())
-        delivered = max(ack.at_seconds for ack in acks.values())
-        total_seconds = sum(ack.seconds for ack in acks.values())
-        attempts = self.ledger.attempts(producer_index, target_site)
-        if self.recorder is not None:
+        acks = ledger.acked(*key).values()
+        first = min(ack.at_seconds for ack in acks)
+        delivered = max(ack.at_seconds for ack in acks)
+        seconds = sum(ack.seconds for ack in acks)
+        attempts = ledger.attempts(*key)
+        if streamed:
             # Exactly one payload-carrying descriptor per logical
             # transfer, stamped at the delivery instant; the per-chunk
             # attempts above carry no payload of their own.
-            self._trace_attempt(
-                producer_index,
-                consumer_index,
-                source,
-                target_site,
-                batch,
-                wire.logical_bytes,
-                attempts,
-                "delivered",
-                delivered,
-                total_seconds,
-                wire_bytes=wire.wire_bytes,
-                chunks=total,
-            )
+            trace(None, attempts, "delivered", delivered, seconds)
         record = ShipRecord(
             source=source,
             target=target_site,
             rows=len(batch.rows),
-            bytes=wire.logical_bytes,
-            seconds=total_seconds,
+            bytes=batch.nbytes,
+            seconds=seconds,
             attempts=attempts,
-            retry_wait_seconds=self.ledger.wait_seconds(producer_index, target_site),
-            wire_bytes=wire.wire_bytes,
-            chunks=total,
+            retry_wait_seconds=(
+                ledger.wait_seconds(*key) if streamed else sent - begin
+            ),
+            wire_bytes=None if wire is None else wire.wire_bytes,
+            chunks=1 if wire is None else len(wire.chunks),
         )
         return first, delivered, record
 
@@ -1010,19 +907,41 @@ class _ChaosRun:
         consumer_index: int,
         source: str,
         target: str,
-        batch: RowBatch,
-        nbytes: int,
+        wire: ShipTransfer | None,
+        chunk: WireChunk | None,
         attempt: int,
         outcome: str,
         at: float,
-        seconds: float | None,
-        wire_bytes: int | None = None,
-        chunks: int | None = None,
+        seconds: float | None = None,
     ) -> None:
-        """Emit one ship-attempt event (coordinator thread only).  The
-        emission *order* across independent fragments is racy, so the
-        event is marked unstable and the recorder orders it by its
-        simulated instant instead."""
+        """Emit one attempt event (coordinator thread only): a
+        payload-less chunk event when ``chunk`` is given, else a ship
+        event carrying the producer's payload descriptor.  The emission
+        *order* across independent fragments is racy, so the event is
+        marked unstable and the recorder orders it by its simulated
+        instant instead."""
+        if self.recorder is None:
+            return
+        if chunk is not None:
+            self.recorder.emit(
+                ChunkEvent(
+                    at=at,
+                    source=source,
+                    target=target,
+                    chunk=chunk.index,
+                    of=len(wire.chunks),
+                    rows=chunk.rows,
+                    bytes=chunk.nbytes,
+                    attempt=attempt,
+                    outcome=outcome,
+                    seconds=seconds,
+                    producer=producer_index,
+                    consumer=consumer_index,
+                ),
+                stable=False,
+            )
+            return
+        batch, _compute = self.results[producer_index]
         payload = self._payload_cache.get(producer_index)
         if payload is None:
             payload = encode_payload(self.dag.fragments[producer_index].root)
@@ -1043,7 +962,7 @@ class _ChaosRun:
                 source=source,
                 target=target,
                 rows=len(batch.rows),
-                bytes=nbytes,
+                bytes=batch.nbytes,
                 attempt=attempt,
                 outcome=outcome,
                 seconds=seconds,
@@ -1052,8 +971,8 @@ class _ChaosRun:
                 columns=list(batch.columns),
                 payload=payload,
                 staleness_at_read=staleness,
-                wire_bytes=wire_bytes,
-                chunks=chunks,
+                wire_bytes=None if wire is None else wire.wire_bytes,
+                chunks=None if wire is None else len(wire.chunks),
             ),
             stable=False,
         )
@@ -1163,15 +1082,9 @@ class _ChaosRun:
         by re-delivering its inputs to its new site.  Faults apply to
         the re-deliveries too; a failure here propagates and degrades
         the query to a partial failure."""
-        fragment = self.dag.fragments[index]
-        start = not_before
-        records: list[tuple[int, ShipRecord, float]] = []
-        for entry in fragment.inputs:
-            _first, delivered, record = self._transfer(
-                entry.producer, fragment.location, not_before, consumer_index=index
-            )
-            records.append((entry.producer, record, delivered))
-            start = max(start, delivered)
+        _first, start, records = self._deliver_inputs(
+            index, not_before, floor=not_before
+        )
         if self.freshness is not None:
             # The re-placed copy is re-read at the *re-delivery*
             # instant, which may be later than the failover decision —
@@ -1183,10 +1096,7 @@ class _ChaosRun:
                 # (including ``ready``) is committed.
                 return
             start = when
-        for producer, record, delivered in records:
-            self.ship_records[producer] = record
-            self.delivered[producer] = delivered
-        self.ready[index] = start
+        self._commit_deliveries(index, start, records)
         # A re-placed fragment restarts from scratch at its new site:
         # its inputs only just finished re-arriving, so there is no
         # earlier first-output instant to stream from.

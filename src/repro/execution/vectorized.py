@@ -58,10 +58,10 @@ from ..plan import (
     TableScan,
     UnionAll,
 )
-from ..trace import current_recorder
 from .metrics import ExecutionMetrics
 from .operators import RowBatch
-from .wire import ShipConfig, encode_ship
+from .shipping import ship_boundary
+from .wire import ShipConfig
 
 #: One column of values; scans yield tuples, computed columns are lists.
 Column = Sequence[Any]
@@ -241,44 +241,19 @@ class BatchOperatorExecutor:
     def _ship(self, node: Ship) -> ColumnBatch:
         assert node.child is not None
         batch = self.run_batch(node.child)
-        nbytes = column_bytes(batch.data)
-        wire_bytes: int | None = None
-        chunks: int | None = None
-        if self.ship.active:
-            # The SHIP boundary is where columns leave the site anyway —
-            # encode for the wire and rebuild the batch from the
-            # *decoded* rows, keeping the codec on the data path.
-            wire = encode_ship(
-                batch.columns, batch.to_rows(), logical_bytes=nbytes, config=self.ship
-            )
-            wire_bytes = wire.wire_bytes
-            chunks = len(wire.chunks)
-            batch = ColumnBatch.from_rows(batch.columns, wire.decode_rows())
-        self.metrics.record_ship(
-            self.network,
-            node.source,
-            node.target,
+        decoded = ship_boundary(
+            node,
+            batch.columns,
             batch.nrows,
-            nbytes,
-            wire_bytes=wire_bytes,
-            chunks=1 if chunks is None else chunks,
+            column_bytes(batch.data),
+            batch.to_rows,
+            self.network,
+            self.metrics,
+            self.ship,
         )
-        recorder = current_recorder()
-        if recorder is not None:
-            recorder.record_local_ship(
-                node,
-                rows=batch.nrows,
-                nbytes=nbytes,
-                columns=batch.columns,
-                seconds=self.network.transfer_time(
-                    node.source,
-                    node.target,
-                    nbytes if wire_bytes is None else wire_bytes,
-                ),
-                wire_bytes=wire_bytes,
-                chunks=chunks,
-            )
-        return batch
+        if decoded is None:
+            return batch
+        return ColumnBatch.from_rows(batch.columns, decoded)
 
     # -- joins -----------------------------------------------------------------
 

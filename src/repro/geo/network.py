@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Protocol
 
 from ..errors import (
     CircuitOpenError,
@@ -42,11 +42,11 @@ class NetworkModel:
 
     With ``strict=True`` an unmodeled pair raises a typed
     :class:`~repro.errors.UnknownLinkError` instead of substituting the
-    pessimistic default — both SHIP paths (the row executor's
-    ``record_ship`` and the batch executor's column-wise accounting)
-    price transfers through :meth:`link`, so a mis-deployed catalog
-    fails identically from either backend rather than surfacing as a
-    bare lookup failure somewhere downstream.
+    pessimistic default — every SHIP (the sequential executors' shared
+    ``ship_boundary`` and the scheduler's ``attempt_transfer``) is
+    priced through :meth:`link`, so a mis-deployed catalog fails
+    identically from either backend rather than surfacing as a bare
+    lookup failure somewhere downstream.
     """
 
     def __init__(
@@ -88,25 +88,6 @@ class NetworkModel:
         if src == dst:
             return 0.0
         return cost.alpha + cost.beta * nbytes
-
-    def chunked_transfer_time(
-        self, src: str, dst: str, chunk_sizes: "Sequence[float]"
-    ) -> list[float]:
-        """Per-chunk send durations for one logical transfer split into
-        ``chunk_sizes`` byte chunks.
-
-        The link's α latency is the cost of *establishing* the
-        connection, so it is charged once — on the first chunk — and
-        every chunk pays only its own ``β·bytes`` after that; the
-        durations sum to exactly ``transfer_time(sum(chunk_sizes))``.
-        Local moves are free per chunk, like the monolithic path."""
-        if src == dst:
-            return [0.0 for _ in chunk_sizes]
-        cost = self.link(src, dst)
-        return [
-            (cost.alpha if i == 0 else 0.0) + cost.beta * nbytes
-            for i, nbytes in enumerate(chunk_sizes)
-        ]
 
 
 class FaultModel(Protocol):
@@ -182,61 +163,23 @@ class FaultAwareNetwork(NetworkModel):
         return not self.faults.site_down(site, when)
 
     def attempt_transfer(
-        self, src: str, dst: str, nbytes: float, when: float
+        self,
+        src: str,
+        dst: str,
+        nbytes: float,
+        when: float,
+        include_alpha: bool = True,
     ) -> float:
-        """Simulate one transfer attempt starting at simulated ``when``;
-        returns the attempt's duration in seconds or raises a typed
-        fault error."""
-        for site in (src, dst):
-            if self.faults.site_down(site, when):
-                raise SiteUnavailableError(
-                    f"site {site!r} is down at t={when:.3f}s", site=site
-                )
-        if src == dst:
-            return 0.0
-        if self.breakers is not None and not self.breakers.allow(src, dst, when):
-            raise CircuitOpenError(
-                f"circuit breaker for {src} -> {dst} is open at t={when:.3f}s",
-                source=src,
-                target=dst,
-            )
-        outage = self.faults.link_down(src, dst, when)
-        if outage is not None:
-            if self.breakers is not None:
-                self.breakers.record_failure(src, dst, when)
-            transient = getattr(outage, "duration", None) is not None
-            raise TransferError(
-                f"link {src} -> {dst} is down at t={when:.3f}s",
-                source=src,
-                target=dst,
-                transient=transient,
-            )
-        if self.faults.link_flaky(src, dst, when) is not None:
-            if self.breakers is not None:
-                self.breakers.record_failure(src, dst, when)
-            raise TransferError(
-                f"transient failure on {src} -> {dst} at t={when:.3f}s",
-                source=src,
-                target=dst,
-                transient=True,
-            )
-        if self.breakers is not None:
-            self.breakers.record_success(src, dst, when)
-        return self.base.transfer_time(src, dst, nbytes) * self.faults.slow_factor(
-            src, dst, when
-        )
+        """Simulate one send starting at simulated ``when``; returns its
+        duration in seconds or raises a typed fault error.
 
-    def attempt_chunk_transfer(
-        self, src: str, dst: str, nbytes: float, when: float, include_alpha: bool
-    ) -> float:
-        """Simulate sending one chunk of a streamed transfer at ``when``.
-
-        Faults, breakers, and slow-link degradation are consulted exactly
-        as in :meth:`attempt_transfer`; the only difference is the cost
-        shape: the link's α start-up is paid only when ``include_alpha``
-        is set (the connection's first chunk, or the first chunk after a
-        fault broke the connection), every other chunk pays ``β·bytes``
-        alone — so a fault-free streamed transfer bills exactly
+        ``include_alpha`` is connection state, computed by the caller:
+        the link's α start-up is the cost of *establishing* a
+        connection, so a monolithic transfer (one send per connection)
+        always pays it, while a streamed transfer pays it on its first
+        chunk — and again on the first chunk after a fault broke the
+        connection — and ``β·bytes`` alone on every other chunk.  A
+        fault-free streamed transfer therefore bills exactly
         ``α + β·wire_bytes``, never ``K·α``."""
         for site in (src, dst):
             if self.faults.site_down(site, when):
@@ -271,10 +214,13 @@ class FaultAwareNetwork(NetworkModel):
                 target=dst,
                 transient=True,
             )
-        if self.breakers is not None:
-            self.breakers.record_success(src, dst, when)
+        # Price before reporting: a strict model raises UnknownLinkError
+        # here, and an unpriceable send must not reach the link's
+        # breaker as a success.
         cost = self.base.link(src, dst)
         seconds = (cost.alpha if include_alpha else 0.0) + cost.beta * nbytes
+        if self.breakers is not None:
+            self.breakers.record_success(src, dst, when)
         return seconds * self.faults.slow_factor(src, dst, when)
 
 

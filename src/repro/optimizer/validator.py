@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ComplianceViolationError
 from ..expr import conjunction
 from ..plan import (
     Field,
@@ -211,6 +212,30 @@ def check_compliance(
 
 def is_compliant(plan: PhysicalPlan, evaluator: PolicyEvaluator) -> bool:
     return not check_compliance(plan, evaluator)
+
+
+def guarded_plan(
+    source: "PhysicalPlan | object", evaluator: PolicyEvaluator | None, action: str
+) -> PhysicalPlan:
+    """The runtime guard shared by the engine and the server: the plan
+    of ``source`` (a plan, or an :class:`~repro.optimizer.compliant
+    .OptimizationResult`), refused with a typed error when ``evaluator``
+    finds it non-compliant.  The check is skipped only for a result that
+    already passed :func:`check_compliance` under this very evaluator —
+    a validation by any *other* evaluator vouches for other policies."""
+    plan = source if isinstance(source, PhysicalPlan) else source.plan
+    validated = (
+        getattr(source, "compliance_validated", False)
+        and getattr(source, "validated_by", None) is evaluator
+    )
+    if evaluator is not None and not validated:
+        violations = check_compliance(plan, evaluator)
+        if violations:
+            details = "; ".join(str(v) for v in violations)
+            raise ComplianceViolationError(
+                f"refusing to {action} non-compliant plan: {details}"
+            )
+    return plan
 
 
 def check_recovery_placement(

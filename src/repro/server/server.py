@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 from ..errors import (
     AdmissionRejected,
-    ComplianceViolationError,
     DeadlineExceeded,
     ReproError,
 )
@@ -59,6 +58,7 @@ from ..execution.recovery import RetryPolicy
 from ..execution.scheduler import FragmentScheduler
 from ..execution.wire import ShipConfig
 from ..geo import GeoDatabase, NetworkModel
+from ..optimizer.validator import guarded_plan
 from ..plan import PhysicalPlan
 from ..trace import current_recorder
 from ..validation import validate_positive_int, validate_timeout
@@ -174,7 +174,6 @@ class QueryServer:
             freshness=freshness,
             ship=ship,
         )
-        self._plan_cache: dict[str, PhysicalPlan] = {}
 
     # -- planning ---------------------------------------------------------------
 
@@ -186,40 +185,14 @@ class QueryServer:
                 "QueryServer needs an optimizer for SQL requests (or "
                 "requests carrying pre-built plans)"
             )
-        if getattr(self.optimizer, "plan_cache", None) is not None:
-            # The optimizer carries a compliant plan cache: let every
-            # request go through it (parameterized templates share
-            # entries; policy hot-reload invalidates precisely).  A
-            # store-time-validated hit/store skips the server's own
-            # guard — but only when it was validated by the same
-            # evaluator this server guards with.
-            result = self.optimizer.optimize(request.sql)
-            if self.evaluator is not None and not (
-                getattr(result, "compliance_validated", False)
-                and getattr(result, "validated_by", None) is self.evaluator
-            ):
-                self._guard(result.plan)
-            return result.plan
-        # No optimizer-level cache: memoize located plans by SQL text.
-        # (Unsound across policy reloads — only used when the compliant
-        # plan cache is disabled.)
-        plan = self._plan_cache.get(request.sql)
-        if plan is None:
-            plan = self.optimizer.optimize(request.sql).plan
-            if self.evaluator is not None:
-                self._guard(plan)
-            self._plan_cache[request.sql] = plan
-        return plan
-
-    def _guard(self, plan: PhysicalPlan) -> None:
-        from ..optimizer.validator import check_compliance
-
-        violations = check_compliance(plan, self.evaluator)
-        if violations:
-            details = "; ".join(str(v) for v in violations)
-            raise ComplianceViolationError(
-                f"refusing to serve non-compliant plan: {details}"
-            )
+        # Optimize and guard per request: a located plan is only as
+        # current as the policy catalog it was checked against, so none
+        # is kept here across requests.  (A compliant plan cache on the
+        # optimizer makes this a cheap hit and invalidates precisely on
+        # policy reloads.)
+        return guarded_plan(
+            self.optimizer.optimize(request.sql), self.evaluator, "serve"
+        )
 
     # -- the event loop ---------------------------------------------------------
 

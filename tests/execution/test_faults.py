@@ -140,64 +140,121 @@ def wan():
     return base
 
 
+class _RecordingGovernor:
+    """A LinkGovernor that allows everything and logs what it is told."""
+
+    def __init__(self):
+        self.reports = []
+
+    def allow(self, source, target, when):
+        return True
+
+    def record_success(self, source, target, when):
+        self.reports.append(("success", source, target, when))
+
+    def record_failure(self, source, target, when):
+        self.reports.append(("failure", source, target, when))
+
+
+@pytest.mark.parametrize("include_alpha", [True, False], ids=["alpha", "no-alpha"])
 class TestFaultAwareNetwork:
-    def test_no_faults_matches_base(self, wan):
+    """``include_alpha`` is connection state (first send of a connection
+    or not): it changes the price of a successful send and nothing else
+    — fault classification and breaker reports are identical."""
+
+    @staticmethod
+    def healthy(wan, nbytes, include_alpha):
+        cost = wan.link("A", "B")
+        return (cost.alpha if include_alpha else 0.0) + cost.beta * nbytes
+
+    def test_no_faults_matches_base(self, wan, include_alpha):
         net = FaultAwareNetwork(wan, FaultPlan())
-        assert net.attempt_transfer("A", "B", 1000, 0.0) == pytest.approx(
-            wan.transfer_time("A", "B", 1000)
-        )
+        seconds = net.attempt_transfer("A", "B", 1000, 0.0, include_alpha=include_alpha)
+        assert seconds == pytest.approx(self.healthy(wan, 1000, include_alpha))
+        if include_alpha:
+            # The default: a monolithic send is a whole connection.
+            assert seconds == net.attempt_transfer("A", "B", 1000, 0.0)
+            assert seconds == pytest.approx(wan.transfer_time("A", "B", 1000))
         assert net.transfer_time("A", "B", 1000) == wan.transfer_time("A", "B", 1000)
 
-    def test_crashed_endpoint_raises(self, wan):
+    def test_crashed_endpoint_raises(self, wan, include_alpha):
         net = FaultAwareNetwork(wan, FaultPlan([SiteCrash("B", at=1.0)]))
         assert net.site_available("B", 0.5)
         assert not net.site_available("B", 1.5)
-        net.attempt_transfer("A", "B", 10, 0.5)  # before the crash: fine
+        net.attempt_transfer("A", "B", 10, 0.5, include_alpha=include_alpha)
         with pytest.raises(SiteUnavailableError) as excinfo:
-            net.attempt_transfer("A", "B", 10, 1.5)
+            net.attempt_transfer("A", "B", 10, 1.5, include_alpha=include_alpha)
         assert excinfo.value.site == "B"
 
-    def test_permanent_link_down_is_not_transient(self, wan):
+    def test_permanent_link_down_is_not_transient(self, wan, include_alpha):
         net = FaultAwareNetwork(wan, FaultPlan([LinkDown("A", "B", at=0.0)]))
         with pytest.raises(TransferError) as excinfo:
-            net.attempt_transfer("A", "B", 10, 5.0)
+            net.attempt_transfer("A", "B", 10, 5.0, include_alpha=include_alpha)
         assert not excinfo.value.transient
 
-    def test_bounded_link_down_is_transient(self, wan):
+    def test_bounded_link_down_is_transient(self, wan, include_alpha):
         net = FaultAwareNetwork(
             wan, FaultPlan([LinkDown("A", "B", at=0.0, duration=1.0)])
         )
         with pytest.raises(TransferError) as excinfo:
-            net.attempt_transfer("A", "B", 10, 0.5)
+            net.attempt_transfer("A", "B", 10, 0.5, include_alpha=include_alpha)
         assert excinfo.value.transient
-        net.attempt_transfer("A", "B", 10, 1.5)  # after recovery
+        net.attempt_transfer("A", "B", 10, 1.5, include_alpha=include_alpha)
 
-    def test_flaky_is_transient_and_directed(self, wan):
+    def test_flaky_is_transient_and_directed(self, wan, include_alpha):
         net = FaultAwareNetwork(
             wan, FaultPlan([FlakyLink("A", "B", at=0.0, duration=0.3)])
         )
         with pytest.raises(TransferError) as excinfo:
-            net.attempt_transfer("A", "B", 10, 0.1)
+            net.attempt_transfer("A", "B", 10, 0.1, include_alpha=include_alpha)
         assert excinfo.value.transient
-        net.attempt_transfer("B", "A", 10, 0.1)  # reverse direction is fine
-        net.attempt_transfer("A", "B", 10, 0.31)  # past the window
+        # reverse direction is fine, and so is the link past the window
+        net.attempt_transfer("B", "A", 10, 0.1, include_alpha=include_alpha)
+        net.attempt_transfer("A", "B", 10, 0.31, include_alpha=include_alpha)
 
-    def test_slow_link_multiplies_time(self, wan):
+    def test_slow_link_multiplies_time(self, wan, include_alpha):
         net = FaultAwareNetwork(
             wan, FaultPlan([SlowLink("A", "B", factor=3.0, at=0.0, duration=1.0)])
         )
-        healthy = wan.transfer_time("A", "B", 1000)
-        assert net.attempt_transfer("A", "B", 1000, 0.5) == pytest.approx(3 * healthy)
-        assert net.attempt_transfer("A", "B", 1000, 1.5) == pytest.approx(healthy)
+        healthy = self.healthy(wan, 1000, include_alpha)
+        assert net.attempt_transfer(
+            "A", "B", 1000, 0.5, include_alpha=include_alpha
+        ) == pytest.approx(3 * healthy)
+        assert net.attempt_transfer(
+            "A", "B", 1000, 1.5, include_alpha=include_alpha
+        ) == pytest.approx(healthy)
 
-    def test_local_move_only_fails_when_site_down(self, wan):
+    def test_local_move_only_fails_when_site_down(self, wan, include_alpha):
         net = FaultAwareNetwork(
             wan,
             FaultPlan([LinkDown("A", "A", at=0.0), SiteCrash("A", at=1.0)]),
         )
-        assert net.attempt_transfer("A", "A", 10, 0.5) == 0.0
+        assert net.attempt_transfer("A", "A", 10, 0.5, include_alpha=include_alpha) == 0.0
         with pytest.raises(SiteUnavailableError):
-            net.attempt_transfer("A", "A", 10, 1.5)
+            net.attempt_transfer("A", "A", 10, 1.5, include_alpha=include_alpha)
+
+    def test_breaker_hears_every_wan_outcome_once(self, wan, include_alpha):
+        governor = _RecordingGovernor()
+        faults = FaultPlan(
+            [
+                FlakyLink("A", "B", at=0.0, duration=0.3),
+                LinkDown("A", "B", at=1.0, duration=0.5),
+                SiteCrash("B", at=5.0),
+            ]
+        )
+        net = FaultAwareNetwork(wan, faults, breakers=governor)
+        for when in (0.1, 1.2):
+            with pytest.raises(TransferError):
+                net.attempt_transfer("A", "B", 10, when, include_alpha=include_alpha)
+        net.attempt_transfer("A", "B", 10, 2.0, include_alpha=include_alpha)
+        net.attempt_transfer("A", "A", 10, 2.0, include_alpha=include_alpha)  # local
+        with pytest.raises(SiteUnavailableError):  # a dead site is no link evidence
+            net.attempt_transfer("A", "B", 10, 6.0, include_alpha=include_alpha)
+        assert governor.reports == [
+            ("failure", "A", "B", 0.1),
+            ("failure", "A", "B", 1.2),
+            ("success", "A", "B", 2.0),
+        ]
 
 
 class TestStableFraction:

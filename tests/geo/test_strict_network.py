@@ -9,8 +9,8 @@ import pytest
 from repro.catalog import Catalog, Column, TableSchema
 from repro.datatypes import DataType
 from repro.errors import UnknownLinkError
-from repro.execution import ExecutionEngine
-from repro.geo import GeoDatabase, NetworkModel
+from repro.execution import ExecutionEngine, FaultPlan
+from repro.geo import FaultAwareNetwork, GeoDatabase, NetworkModel
 from repro.plan import Field, Project, Ship, TableScan
 
 
@@ -32,6 +32,36 @@ class TestStrictModel:
     def test_strict_local_transfer_stays_free(self):
         n = NetworkModel(strict=True)
         assert n.transfer_time("A", "A", 1_000_000) == 0.0
+
+
+class TestStrictModelUnderBreakers:
+    """Regression: ``attempt_transfer`` used to report the send to the
+    link's breaker *before* pricing it, so an unmodeled link in a strict
+    model counted as a healthy link and then raised."""
+
+    class Governor:
+        def __init__(self):
+            self.successes = []
+
+        def allow(self, source, target, when):
+            return True
+
+        def record_success(self, source, target, when):
+            self.successes.append((source, target, when))
+
+        def record_failure(self, source, target, when):  # pragma: no cover
+            raise AssertionError("no fault was injected")
+
+    def test_unpriceable_send_is_not_reported_as_success(self):
+        base = NetworkModel(strict=True)
+        base.set_link("A", "B", alpha=0.1, beta=1e-6)
+        governor = self.Governor()
+        net = FaultAwareNetwork(base, FaultPlan(), breakers=governor)
+        with pytest.raises(UnknownLinkError):
+            net.attempt_transfer("B", "A", 10, 0.0)
+        assert governor.successes == []
+        net.attempt_transfer("A", "B", 10, 1.0)
+        assert governor.successes == [("A", "B", 1.0)]
 
 
 @pytest.fixture()

@@ -4,8 +4,12 @@ This is the test the CI plan-cache smoke job runs."""
 
 import pytest
 
+from repro.errors import NonCompliantQueryError
 from repro.optimizer import CompliantOptimizer
 from repro.server import QueryRequest, QueryServer
+from repro.trace import ComplianceAuditor, TraceRecorder, tracing
+
+from ..conftest import build_carco, rows_as_multiset
 
 
 def template_workload(carco):
@@ -103,3 +107,52 @@ def test_hot_reload_during_serving_is_sound(carco):
     third = server.serve(request)
     assert third.metrics.plan_cache_hits == 1
     assert first.outcomes[0].rows == second.outcomes[0].rows == third.outcomes[0].rows
+
+
+def cacheless_server(world):
+    optimizer = CompliantOptimizer(
+        world.catalog, world.policies, world.network, plan_cache=False
+    )
+    server = QueryServer(
+        world.database,
+        world.network,
+        optimizer=optimizer,
+        evaluator=optimizer.evaluator,
+    )
+    return server
+
+
+def test_cacheless_server_replans_after_a_policy_removal():
+    """Without the compliant plan cache there is nothing to invalidate,
+    so nothing may be remembered: a plan guarded under yesterday's
+    policies must not be re-served once the catalog has tightened.
+    (The server used to memoize located plans by SQL text.)"""
+    world = build_carco()
+    server = cacheless_server(world)
+    request = [QueryRequest(sql=world.query, arrival=0.0)]
+    first = server.serve(request)
+    assert first.metrics.served == 1
+
+    # Supply data may no longer reach Europe, even aggregated: the plan
+    # just served is now non-compliant, but another compliant one exists.
+    world.policies.remove(world.policies.expressions[3])
+    recorder = TraceRecorder()
+    with tracing(recorder):
+        second = server.serve(request)
+    assert second.metrics.served == 1
+    assert rows_as_multiset(second.outcomes[0].rows) == rows_as_multiset(
+        first.outcomes[0].rows
+    )
+    report = ComplianceAuditor(world.policies).audit_events(recorder.events())
+    assert report.ok, report.violations
+
+
+def test_cacheless_server_refuses_once_no_compliant_plan_is_left():
+    world = build_carco()
+    server = cacheless_server(world)
+    request = [QueryRequest(sql=world.query, arrival=0.0)]
+    assert server.serve(request).metrics.served == 1
+    # Customer data may no longer leave its site at all.
+    world.policies.remove(world.policies.expressions[0])
+    with pytest.raises(NonCompliantQueryError):
+        server.serve(request)
