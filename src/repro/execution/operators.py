@@ -8,7 +8,6 @@ it counts rows/bytes and charges simulated transfer time to the metrics.
 
 from __future__ import annotations
 
-import datetime
 import time
 from typing import Any, Callable, Sequence
 
@@ -29,38 +28,17 @@ from ..plan import (
 )
 from .metrics import ExecutionMetrics
 from .shipping import ship_boundary
-from .wire import ShipConfig
+from .wire import ShipConfig, column_nbytes, columns_of, rows_of
 
 Row = tuple
 Result = tuple[list[str], list[Row]]  # (column names, rows) — unpacked shape
 
 
 def actual_bytes(rows: Sequence[Row]) -> int:
-    """Measured wire size of a row batch (what a SHIP actually transfers).
-
-    The ``datetime.datetime`` check must precede the ``datetime.date``
-    one (it is a subclass): a timestamp carries a time-of-day and bills
-    the full 8 bytes, a plain date only 4.  Likewise ``bool`` precedes
-    ``int``.
-    """
-    total = 0
-    for row in rows:
-        for value in row:
-            if value is None:
-                total += 1
-            elif isinstance(value, bool):
-                total += 1
-            elif isinstance(value, (int, float)):
-                total += 8
-            elif isinstance(value, str):
-                total += len(value)
-            elif isinstance(value, datetime.datetime):
-                total += 8
-            elif isinstance(value, datetime.date):
-                total += 4
-            else:
-                total += 8
-    return total
+    """Measured wire size of a row batch (what a SHIP actually transfers):
+    the rows transposed once and each column sized by
+    :func:`repro.execution.wire.column_nbytes`, the one size model."""
+    return sum(map(column_nbytes, zip(*rows)))
 
 
 class RowBatch:
@@ -84,6 +62,21 @@ class RowBatch:
     def __iter__(self):
         yield self.columns
         yield self.rows
+
+    def to_row_batch(self) -> "RowBatch":
+        """Already rows (``ColumnBatch.to_row_batch`` is the transpose)."""
+        return self
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def data(self) -> list[tuple]:
+        """The batch as columns — what the SHIP codec reads.  One
+        transpose per access, deliberately not cached: a shipped batch
+        is encoded once."""
+        return columns_of(self.rows, len(self.columns))
 
     @property
     def nbytes(self) -> int:
@@ -197,19 +190,10 @@ class OperatorExecutor:
     def _ship(self, node: Ship) -> RowBatch:
         assert node.child is not None
         batch = self.run(node.child)
-        decoded = ship_boundary(
-            node,
-            batch.columns,
-            len(batch.rows),
-            batch.nbytes,
-            lambda: batch.rows,
-            self.network,
-            self.metrics,
-            self.ship,
-        )
+        decoded = ship_boundary(node, batch, self.network, self.metrics, self.ship)
         if decoded is None:
             return batch
-        return RowBatch(batch.columns, decoded, nbytes=batch.nbytes)
+        return RowBatch(batch.columns, rows_of(decoded, batch.nrows))
 
     # -- joins -----------------------------------------------------------------
 

@@ -128,12 +128,12 @@ class _CutShips:
         database: GeoDatabase,
         network: NetworkModel,
         metrics: ExecutionMetrics,
-        ship_results: dict[int, RowBatch],
+        ship_results: dict[int, RowBatch | ColumnBatch],
     ) -> None:
         super().__init__(database, network, metrics)
         self._ship_results = ship_results
 
-    def _ship(self, node: Ship) -> RowBatch:
+    def _ship(self, node: Ship) -> RowBatch | ColumnBatch:
         try:
             return self._ship_results[id(node)]
         except KeyError:  # pragma: no cover - guards a fragmenter invariant
@@ -143,17 +143,24 @@ class _CutShips:
 
 
 class _FragmentExecutor(_CutShips, OperatorExecutor):
-    """Row backend over one fragment body."""
+    """Row backend over one fragment body.  A wire-decoded producer
+    output arrives as columns (the codec's native form); this row
+    consumer transposes it, on its worker thread, when it reads it."""
+
+    run_fragment = OperatorExecutor.run
+
+    def _ship(self, node: Ship) -> RowBatch:
+        return super()._ship(node).to_row_batch()
 
 
 class _BatchFragmentExecutor(_CutShips, BatchOperatorExecutor):
-    """Columnar backend over one fragment body: cut SHIP leaves are
-    where shipped row batches re-enter columnar form (the SHIP-boundary
-    conversion rule — fragments always exchange rows)."""
+    """Columnar backend over one fragment body.  Its output stays a
+    :class:`ColumnBatch` and its cut SHIP leaves read the producers'
+    (decoded) columns as they are — the SHIP-boundary conversion rule:
+    columns cross a SHIP as columns, rows exist only where a row
+    consumer asks."""
 
-    def _ship(self, node: Ship) -> ColumnBatch:
-        batch = super()._ship(node)
-        return ColumnBatch.from_rows(batch.columns, batch.rows)
+    run_fragment = BatchOperatorExecutor.run_batch
 
 
 #: Sequential executor backend per ``--executor`` name.
@@ -178,6 +185,13 @@ def validate_executor_name(executor: str) -> str:
             f"unknown executor backend {executor!r}; expected one of: {known}"
         )
     return executor
+
+
+def _logical_bytes(batch: RowBatch | ColumnBatch, wire: ShipTransfer | None) -> int:
+    """Logical size of a producer's output: the encoder's sizing pass
+    already measured a wired batch; otherwise the batch measures (and
+    caches) itself, so re-deliveries of the same output are O(1)."""
+    return batch.nbytes if wire is None else wire.logical_bytes
 
 
 def _failed_outcome(error: FaultError, retries_left: bool) -> str:
@@ -252,7 +266,8 @@ class FragmentScheduler:
         metrics = run.account()
         if run.failure is not None:
             return RowBatch(list(plan.field_names), []), metrics
-        return run.results[run.dag.root_index][0], metrics
+        # The final-result edge: the one place a columnar output becomes rows.
+        return run.results[run.dag.root_index][0].to_row_batch(), metrics
 
 
 class _ChaosRun:
@@ -291,13 +306,14 @@ class _ChaosRun:
         )
         self.freshness = scheduler.freshness
         self.ship = scheduler.ship
-        self.results: dict[int, tuple[RowBatch, float]] = {}
+        #: Fragment outputs in their backend's own layout.
+        self.results: dict[int, tuple[RowBatch | ColumnBatch, float]] = {}
         #: Wire-decoded producer outputs (only when a wire config is
-        #: active): consumers read *these* rows, so the codec is
+        #: active): consumers read *these* columns, so the codec is
         #: load-bearing — an encode/decode bug shows up as row
         #: divergence in the equivalence suites, not just as a wrong
         #: byte count.
-        self.results_decoded: dict[int, RowBatch] = {}
+        self.results_decoded: dict[int, ColumnBatch] = {}
         #: Encoded wire form per producer index, built once per run.  A
         #: failover recompute yields row-identical output, so the cache
         #: survives re-placements.
@@ -359,7 +375,7 @@ class _ChaosRun:
 
     # -- worker side -----------------------------------------------------------
 
-    def _compute(self, fragment: Fragment) -> tuple[RowBatch, float]:
+    def _compute(self, fragment: Fragment) -> tuple[RowBatch | ColumnBatch, float]:
         ship_results = {
             id(entry.ship): self.results_decoded.get(
                 entry.producer, self.results[entry.producer][0]
@@ -373,7 +389,7 @@ class _ChaosRun:
             ship_results,
         )
         start = time.perf_counter()
-        out = executor.run(fragment.root)
+        out = executor.run_fragment(fragment.root)
         return out, time.perf_counter() - start
 
     # -- coordinator: scheduling loop ------------------------------------------
@@ -729,17 +745,17 @@ class _ChaosRun:
     def _wire_transfer(self, producer_index: int) -> ShipTransfer:
         """The producer's output in wire form (encoded once per run; a
         failover recompute is row-identical, so the encoding is too).
-        Consumers are switched to the *decoded* rows at the same time,
-        making the codec part of the actual data path."""
+        Consumers are switched to the *decoded* columns at the same
+        time, making the codec part of the actual data path."""
         wire = self._wire_cache.get(producer_index)
         if wire is None:
             batch, _compute = self.results[producer_index]
             wire, decoded = wire_round_trip(
-                batch.columns, batch.rows, batch.nbytes, self.ship
+                batch.columns, batch.data, batch.nrows, self.ship
             )
             self._wire_cache[producer_index] = wire
-            self.results_decoded[producer_index] = RowBatch(
-                list(batch.columns), decoded, nbytes=batch.nbytes
+            self.results_decoded[producer_index] = ColumnBatch(
+                list(batch.columns), decoded, batch.nrows
             )
         return wire
 
@@ -797,16 +813,15 @@ class _ChaosRun:
         source = self.dag.fragments[producer_index].location
         batch, _compute = self.results[producer_index]
         wire = self._wire_transfer(producer_index) if self.ship.active else None
+        nbytes = _logical_bytes(batch, wire)
         streamed = wire is not None and self.ship.streaming and source != target_site
         produced = self.ready[producer_index]
         if streamed:
             ledger, sizes = self.ledger, wire.chunk_sizes
             produced = self.out_start.get(producer_index, produced)
         else:
-            # The measurement is cached on the batch itself, so retry and
-            # failover re-deliveries of the same output are O(1) here.
             ledger = ChunkLedger()
-            sizes = (batch.nbytes if wire is None else wire.wire_bytes,)
+            sizes = (nbytes if wire is None else wire.wire_bytes,)
         key = (producer_index, target_site)
         trace = partial(
             self._trace_attempt, producer_index, consumer_index, source, target_site, wire
@@ -889,8 +904,8 @@ class _ChaosRun:
         record = ShipRecord(
             source=source,
             target=target_site,
-            rows=len(batch.rows),
-            bytes=batch.nbytes,
+            rows=batch.nrows,
+            bytes=nbytes,
             seconds=seconds,
             attempts=attempts,
             retry_wait_seconds=(
@@ -961,8 +976,8 @@ class _ChaosRun:
                 at=at,
                 source=source,
                 target=target,
-                rows=len(batch.rows),
-                bytes=batch.nbytes,
+                rows=batch.nrows,
+                bytes=_logical_bytes(batch, wire),
                 attempt=attempt,
                 outcome=outcome,
                 seconds=seconds,
@@ -1118,7 +1133,6 @@ class _ChaosRun:
             if index not in self.results:
                 continue  # never ran (aborted by a partial failure)
             batch, compute = self.results[index]
-            rows = batch.rows
             start = self.ready.get(index, 0.0)
             finish = self.delivered.get(index, start)
             site_clock[fragment.location] = max(
@@ -1130,7 +1144,7 @@ class _ChaosRun:
                     location=fragment.location,
                     root=fragment.root.describe(),
                     operators=self.fragment_metrics[index].operators_executed,
-                    rows_out=len(rows),
+                    rows_out=batch.nrows,
                     compute_seconds=compute,
                     sim_start_seconds=start,
                     sim_finish_seconds=finish,

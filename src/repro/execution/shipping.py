@@ -8,49 +8,53 @@ a transfer ships, bills, or traces.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Sequence
 
 from ..geo import NetworkModel
 from ..plan import Ship
 from ..trace import current_recorder
 from .metrics import ExecutionMetrics, ShipRecord
-from .wire import ShipConfig, ShipTransfer, encode_ship
+from .wire import ShipConfig, ShipTransfer, encode_columns
 
 
 def wire_round_trip(
-    columns: list[str], rows: list[tuple], nbytes: int, config: ShipConfig
-) -> tuple[ShipTransfer, list[tuple]]:
-    """Encode a batch for the wire and decode it again: the transfer's
-    wire form plus the rows the far side reads.  Every consumer of a
-    shipped batch is handed the *decoded* rows, so the codec sits on the
-    data path — a round-trip bug diverges rows, not just byte counts."""
-    wire = encode_ship(columns, rows, logical_bytes=nbytes, config=config)
-    return wire, wire.decode_rows()
+    columns: Sequence[str], data: Sequence[Sequence[Any]], nrows: int, config: ShipConfig
+) -> tuple[ShipTransfer, list[list]]:
+    """Encode a column batch for the wire and decode it again: the
+    transfer's wire form (its ``logical_bytes`` measured by the encoder's
+    own sizing pass) plus the columns the far side reads.  Every
+    consumer of a shipped batch is handed the *decoded* data, so the
+    codec sits on the data path — a round-trip bug diverges rows, not
+    just byte counts."""
+    wire = encode_columns(columns, data, nrows, config)
+    return wire, wire.decode_columns()
 
 
 def ship_boundary(
     node: Ship,
-    columns: list[str],
-    nrows: int,
-    nbytes: int,
-    rows: Callable[[], list[tuple]],
+    batch: Any,
     network: NetworkModel,
     metrics: ExecutionMetrics,
     config: ShipConfig,
-) -> list[tuple] | None:
+) -> list[list] | None:
     """A sequential executor's SHIP: wire round trip (active configs
     only), one :class:`ShipRecord`, one trace event — priced once.
 
-    The row and batch executors differ only in how they hold the
-    child's output, so ``rows`` is a thunk: the batch executor
-    transposes its columns only when a wire config actually needs row
-    tuples.  Returns the decoded rows the consumer must read, or
-    ``None`` when the config is inactive and the caller's own batch
-    passes through untouched.  ``nbytes`` is always the logical size."""
+    ``batch`` is the child's output in either backend's layout — a
+    ``RowBatch`` or a ``ColumnBatch``; both expose ``columns``,
+    ``nrows``, ``nbytes`` and column ``data``, and only an active wire
+    config reads ``data`` (for the row backend, the one transpose).
+    Returns the decoded columns the consumer must read, or ``None`` when
+    the config is inactive and the caller's own batch passes through
+    untouched.  The logical size is the encoder's measurement when the
+    codec runs and ``batch.nbytes`` otherwise."""
+    columns, nrows = batch.columns, batch.nrows
     decoded = wire_bytes = chunks = None
     if config.active:
-        wire, decoded = wire_round_trip(columns, rows(), nbytes, config)
-        wire_bytes, chunks = wire.wire_bytes, len(wire.chunks)
+        wire, decoded = wire_round_trip(columns, batch.data, nrows, config)
+        nbytes, wire_bytes, chunks = wire.logical_bytes, wire.wire_bytes, len(wire.chunks)
+    else:
+        nbytes = batch.nbytes
     seconds = network.transfer_time(
         node.source, node.target, nbytes if wire_bytes is None else wire_bytes
     )

@@ -28,18 +28,19 @@ Layout and conversion rules
 * Filters compile to selection kernels: a *selection vector* of passing
   row indices is refined conjunct by conjunct and applied once per
   column (:func:`repro.expr.kernels.compile_predicate_kernel`).
-* Rows materialize **only at SHIP and final-result edges**: the public
-  :meth:`BatchOperatorExecutor.run` returns a
-  :class:`~repro.execution.operators.RowBatch` (what the fragment
-  scheduler ships between sites and callers consume); everywhere below
-  that boundary data stays columnar.  SHIP byte accounting uses
-  :func:`column_bytes`, which measures the wire size straight from the
-  columns without building a single tuple.
+* SHIP-boundary conversion rule — columns cross a SHIP as columns:
+  the wire codec (:mod:`repro.execution.wire`) encodes and decodes
+  column data, so a batch-backend SHIP edge, cut or un-cut, goes
+  columns → encode → decode → columns.  Rows materialize **only where
+  a row consumer asks**: the public :meth:`BatchOperatorExecutor.run`
+  returns a :class:`~repro.execution.operators.RowBatch` for the final
+  result, and the row backend transposes a decoded batch it reads.
+  SHIP byte accounting uses :func:`column_bytes` (or, when the codec
+  runs, the encoder's own sizing pass) — never a tuple.
 """
 
 from __future__ import annotations
 
-import datetime
 import time
 from typing import Any, Sequence
 
@@ -61,59 +62,54 @@ from ..plan import (
 from .metrics import ExecutionMetrics
 from .operators import RowBatch
 from .shipping import ship_boundary
-from .wire import ShipConfig
+from .wire import ShipConfig, column_nbytes, columns_of, rows_of
 
 #: One column of values; scans yield tuples, computed columns are lists.
 Column = Sequence[Any]
 
 
 def column_bytes(data: Sequence[Column]) -> int:
-    """Measured wire size of a column batch — the exact per-value rules
-    of :func:`repro.execution.operators.actual_bytes`, summed column-wise
-    so a SHIP can be billed without materializing row tuples."""
-    total = 0
-    for column in data:
-        for value in column:
-            if value is None:
-                total += 1
-            elif isinstance(value, bool):
-                total += 1
-            elif isinstance(value, (int, float)):
-                total += 8
-            elif isinstance(value, str):
-                total += len(value)
-            elif isinstance(value, datetime.datetime):
-                total += 8
-            elif isinstance(value, datetime.date):
-                total += 4
-            else:
-                total += 8
-    return total
+    """Measured wire size of a column batch — each column sized by
+    :func:`repro.execution.wire.column_nbytes`, the one size model, so a
+    SHIP can be billed without materializing row tuples."""
+    return sum(map(column_nbytes, data))
 
 
 class ColumnBatch:
-    """One operator's output in columnar form (see module docstring)."""
+    """One operator's output in columnar form (see module docstring).
 
-    __slots__ = ("columns", "data", "nrows")
+    Exposes the same ``columns`` / ``nrows`` / ``nbytes`` / ``data``
+    surface as :class:`~repro.execution.operators.RowBatch`, so a SHIP
+    handles either layout; the measured wire size is cached for the
+    scheduler's retry and re-delivery paths."""
+
+    __slots__ = ("columns", "data", "nrows", "_nbytes")
 
     def __init__(self, columns: list[str], data: list[Column], nrows: int) -> None:
         self.columns = columns
         self.data = data
         self.nrows = nrows
+        self._nbytes: int | None = None
 
     @classmethod
     def from_rows(cls, columns: list[str], rows: Sequence[tuple]) -> "ColumnBatch":
-        if rows:
-            data: list[Column] = list(zip(*rows))
-        else:
-            data = [() for _ in columns]
-        return cls(list(columns), data, len(rows))
+        return cls(list(columns), columns_of(rows, len(columns)), len(rows))
 
     def to_rows(self) -> list[tuple]:
-        """Transpose back to row tuples (SHIP / final-result edges only)."""
-        if self.nrows == 0:
-            return []
-        return list(zip(*self.data))
+        """Transpose to row tuples (row consumers only: the final
+        result, or the row backend reading a decoded SHIP)."""
+        return rows_of(self.data, self.nrows)
+
+    def to_row_batch(self) -> RowBatch:
+        """The batch for a row consumer: one transpose, size carried over."""
+        return RowBatch(self.columns, self.to_rows(), nbytes=self._nbytes)
+
+    @property
+    def nbytes(self) -> int:
+        """Measured wire size of the batch, computed once."""
+        if self._nbytes is None:
+            self._nbytes = column_bytes(self.data)
+        return self._nbytes
 
     def gather(self, sel: Sequence[int]) -> "ColumnBatch":
         """Apply a selection vector, producing a dense batch."""
@@ -151,9 +147,8 @@ class BatchOperatorExecutor:
 
     def run(self, node: PhysicalPlan) -> RowBatch:
         """Evaluate ``node`` and materialize the result as rows (the
-        final-result / fragment-output conversion boundary)."""
-        batch = self.run_batch(node)
-        return RowBatch(batch.columns, batch.to_rows())
+        final-result conversion boundary)."""
+        return self.run_batch(node).to_row_batch()
 
     # -- columnar recursion ----------------------------------------------------
 
@@ -241,19 +236,10 @@ class BatchOperatorExecutor:
     def _ship(self, node: Ship) -> ColumnBatch:
         assert node.child is not None
         batch = self.run_batch(node.child)
-        decoded = ship_boundary(
-            node,
-            batch.columns,
-            batch.nrows,
-            column_bytes(batch.data),
-            batch.to_rows,
-            self.network,
-            self.metrics,
-            self.ship,
-        )
+        decoded = ship_boundary(node, batch, self.network, self.metrics, self.ship)
         if decoded is None:
             return batch
-        return ColumnBatch.from_rows(batch.columns, decoded)
+        return ColumnBatch(batch.columns, decoded, batch.nrows)
 
     # -- joins -----------------------------------------------------------------
 

@@ -247,6 +247,23 @@ def test_ship_config_validation():
     assert streaming.streaming and streaming.active
 
 
+def test_unknown_compression_rejected_on_an_empty_column():
+    """The mode is validated before the empty-column early return:
+    ``encode_column((), "gzip")`` used to come back ``plain``."""
+    for empty in ((), [], iter(())):
+        with pytest.raises(WireFormatError, match="compression must be one of"):
+            encode_column(empty, "gzip")
+    assert encode_column((), "auto") == EncodedColumn("plain", (), (), 0)
+
+
+@pytest.mark.parametrize("chunk_rows", [2.5, 4.0, True, False, "8"])
+def test_non_integer_chunk_rows_rejected_at_construction(chunk_rows):
+    """A float used to survive until ``range()`` raised a raw
+    ``TypeError`` at the first encode; ``True`` silently meant 1."""
+    with pytest.raises(WireFormatError, match="chunk_rows must be a positive integer"):
+        ShipConfig(chunk_rows=chunk_rows)
+
+
 def test_unknown_encoding_rejected_on_decode():
     with pytest.raises(WireFormatError):
         EncodedColumn("delta", (1, 2), (), 16).decode()
