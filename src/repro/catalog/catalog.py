@@ -79,7 +79,8 @@ class Catalog:
         #: Per-replica refresh schedules, keyed by
         #: ``(database, table, site)``.  See :mod:`.freshness`.
         self._refresh: dict[tuple[str, str, str], RefreshSchedule] = {}
-        #: Monotone catalog version, bumped on every replica-set change.
+        #: Monotone catalog version, bumped on every replica-set change
+        #: and on every new database (which may add a location).
         #: Mirrors ``PolicyCatalog.version``: the plan cache and the
         #: replica resolver key derived state on it so cached located
         #: plans never pin a scan to a replica that has been dropped.
@@ -92,6 +93,7 @@ class Catalog:
             raise CatalogError(f"database {name!r} already exists")
         db = Database(name, location)
         self._databases[name] = db
+        self._version += 1
         return db
 
     def database(self, name: str) -> Database:
@@ -180,9 +182,11 @@ class Catalog:
 
     @property
     def version(self) -> int:
-        """Monotone counter covering the replica set.  Derived state
-        (plan-cache entries, resolver caches) keyed on it is invalidated
-        by any :meth:`add_replica` / :meth:`drop_replica`."""
+        """Monotone counter covering the replica set and the set of
+        databases (hence locations).  Derived state (plan-cache entries,
+        resolver caches, the policy catalog's location set) keyed on it
+        is invalidated by any :meth:`add_replica` / :meth:`drop_replica`
+        / :meth:`add_database`."""
         return self._version
 
     def add_replica(

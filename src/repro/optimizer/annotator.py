@@ -81,7 +81,9 @@ class AnnotatedNode:
 @dataclass
 class AnnotateResult:
     root: AnnotatedNode
-    memo: Memo
+    #: The explored memo; ``None`` on a result served from the plan cache
+    #: (entries keep the counts below, not the memo).
+    memo: Memo | None
     explore_stats: ExploreStats
     group_count: int
     expression_count: int
@@ -139,15 +141,22 @@ class PlanAnnotator:
     ) -> AnnotateResult:
         if not pre_normalized:
             plan = normalize(plan)
-        memo = Memo(max_expressions=self.max_expressions)
-        root_group = memo.register_plan(plan)
-        stats = explore(memo, self.rules)
-        # Group ids are memo-local, so the AR4 grant cache must be rebuilt
-        # for every optimization.
-        trait_grants = (
-            TraitGrants(self.evaluator) if self.evaluator is not None else None
-        )
-        tables = self._extract(memo, root_group, trait_grants)
+        try:
+            memo = Memo(max_expressions=self.max_expressions)
+            root_group = memo.register_plan(plan)
+            stats = explore(memo, self.rules)
+            # Group ids are memo-local, so the AR4 grant cache must be
+            # rebuilt for every optimization.
+            trait_grants = (
+                TraitGrants(self.evaluator, memo)
+                if self.evaluator is not None
+                else None
+            )
+            tables = self._extract(memo, root_group, trait_grants)
+        finally:
+            # Row estimates are keyed by the identity of this memo's
+            # representatives: of no use to the next optimization.
+            self.cost_model.forget_estimates()
         entries = tables.get(root_group, [])
         best = self._choose_root_entry(entries, result_location)
         if best is None:

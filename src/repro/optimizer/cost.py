@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..catalog import Catalog, ColumnStats
+from ..errors import CatalogError
 from ..expr import (
     And,
     ColumnRef,
@@ -78,8 +79,14 @@ class CostModel:
         # Keyed by object identity: representatives are shared across memo
         # groups, and hashing deep plan trees repeatedly is the single
         # hottest operation otherwise.  Storing the plan itself keeps the
-        # object alive, so ids cannot be recycled while cached.
+        # object alive, so ids cannot be recycled while cached — and so
+        # the cache must be dropped (:meth:`forget_estimates`) once the
+        # plans it was filled for are done with, or it pins them all.
         self._row_cache: dict[int, tuple[LogicalPlan, float]] = {}
+
+    def forget_estimates(self) -> None:
+        """Drop the memoized cardinalities (and the plans they pin)."""
+        self._row_cache.clear()
 
     # -- statistics lookups --------------------------------------------------
 
@@ -89,7 +96,7 @@ class CostModel:
             return None
         try:
             stored = self.catalog.stored_table(base.database, base.table)
-        except Exception:
+        except CatalogError:
             return None
         return stored.stats.column(base.column)
 
@@ -255,7 +262,7 @@ class CostModel:
         for database, table in tables:
             try:
                 stored = self.catalog.stored_table(database, table)
-            except Exception:
+            except CatalogError:
                 continue
             for fk in stored.schema.foreign_keys:
                 indices = []
@@ -267,7 +274,7 @@ class CostModel:
                 else:
                     try:
                         ref = self.catalog.table(fk.ref_table)
-                    except Exception:
+                    except CatalogError:
                         continue
                     ref_rows = max(1, ref.total_rows)
                     groups[tuple(sorted(indices))] = 1.0 / ref_rows

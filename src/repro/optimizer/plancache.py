@@ -183,7 +183,11 @@ class CacheEntry:
     plan: PhysicalPlan
     bindings: tuple[Literal, ...]
     normalized: LogicalPlan
-    annotate: object  # AnnotateResult (typed loosely to avoid a cycle)
+    #: AnnotateResult (typed loosely to avoid a cycle) *without its
+    #: memo*: a cached template is read for its annotated root and its
+    #: counts only, and one memo per cached shape is the bulk of a warm
+    #: optimizer's heap.
+    annotate: object
     selection: object  # SiteSelection
     #: Pids of every policy expression the derivation scanned.
     dependencies: frozenset[int]
@@ -289,7 +293,7 @@ class PlanCache:
             plan=plan,
             bindings=prepared.bindings,
             normalized=normalized,
-            annotate=annotate,
+            annotate=dc_replace(annotate, memo=None),  # type: ignore[type-var]
             selection=selection,
             dependencies=frozenset(dependencies),
             version=self.policies.version,

@@ -9,62 +9,66 @@ TPC-H Q2/Q8 search spaces tractable.
 
 from __future__ import annotations
 
-from ...expr import split_conjuncts
+from typing import Sequence
+
+from ...expr import Expression, conjunction
 from ...plan import LogicalJoin, LogicalPlan
-from ..memo import GroupRef, Memo, MExpr
-from .base import TransformationRule, ordered_conjunction
+from ..memo import Conjunct, Memo, MExpr
+from .base import TransformationRule
 
 
 class JoinCommute(TransformationRule):
     """A ⋈ B  →  B ⋈ A."""
 
     name = "join-commute"
+    root = LogicalJoin
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> list[LogicalPlan]:
+    def apply(
+        self, mexpr: MExpr, memo: Memo, gained: Sequence[MExpr] = ()
+    ) -> list[LogicalPlan]:
         plan = mexpr.plan
-        if not isinstance(plan, LogicalJoin):
-            return []
         return [LogicalJoin(plan.right, plan.left, plan.condition)]
 
 
 class JoinAssociate(TransformationRule):
     """(A ⋈ B) ⋈ C  →  A ⋈ (B ⋈ C), redistributing the predicate
-    conjuncts between the inner and outer join."""
+    conjuncts between the inner and outer join.  Inspects the left
+    child group for its joins."""
 
     name = "join-associate"
+    root = LogicalJoin
+    inner = LogicalJoin
 
     def __init__(self, allow_cross_products: bool = False) -> None:
         self.allow_cross_products = allow_cross_products
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> list[LogicalPlan]:
-        plan = mexpr.plan
-        if not isinstance(plan, LogicalJoin):
-            return []
-        left = plan.left
-        if not isinstance(left, GroupRef):
-            return []
+    def apply(
+        self, mexpr: MExpr, memo: Memo, gained: Sequence[MExpr] = ()
+    ) -> list[LogicalPlan]:
+        right = mexpr.plan.right
+        right_names = memo.group(right.group_id).field_names
+        outer_conjuncts = memo.conjuncts(mexpr)
         results: list[LogicalPlan] = []
-        right = plan.right
-        outer_conjuncts = split_conjuncts(plan.condition)
-        for inner_mexpr in list(memo.group(left.group_id).exprs):
-            inner = inner_mexpr.plan
-            if not isinstance(inner, LogicalJoin):
-                continue
-            a, b = inner.left, inner.right
-            if not isinstance(a, GroupRef) or not isinstance(b, GroupRef):
-                continue
-            conjuncts = split_conjuncts(inner.condition) + outer_conjuncts
-            bc_names = set(b.field_names) | set(right.field_names)
-            new_inner: list = []
-            new_outer: list = []
-            for conjunct in conjuncts:
-                if set(conjunct.references()) <= bc_names:
+        for inner_mexpr in gained:
+            a, b = inner_mexpr.plan.left, inner_mexpr.plan.right
+            bc_names = memo.group(b.group_id).field_names | right_names
+            new_inner: list[Conjunct] = []
+            new_outer: list[Conjunct] = []
+            for conjunct in memo.conjuncts(inner_mexpr) + outer_conjuncts:
+                if conjunct[2] <= bc_names:
                     new_inner.append(conjunct)
                 else:
                     new_outer.append(conjunct)
             if not self.allow_cross_products and (not new_inner or not new_outer):
                 continue
-            inner_join = LogicalJoin(b, right, ordered_conjunction(new_inner))
-            outer_join = LogicalJoin(a, inner_join, ordered_conjunction(new_outer))
-            results.append(outer_join)
+            inner_join = LogicalJoin(b, right, _conjoin(new_inner))
+            results.append(LogicalJoin(a, inner_join, _conjoin(new_outer)))
         return results
+
+
+def _conjoin(conjuncts: list[Conjunct]) -> Expression | None:
+    """:func:`~.base.ordered_conjunction` over pre-split conjuncts."""
+    if not conjuncts:
+        return None
+    conjuncts.sort(key=lambda conjunct: conjunct[0])
+    return conjunction([conjunct[1] for conjunct in conjuncts])

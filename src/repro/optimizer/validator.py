@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ComplianceViolationError
+from ..errors import CatalogError, ComplianceViolationError
 from ..expr import conjunction
 from ..plan import (
     Field,
@@ -46,7 +46,7 @@ from ..plan import (
     TableScan,
     UnionAll,
 )
-from ..policy import PolicyEvaluator, describe_local_query
+from ..policy import PolicyEvaluator, SubplanSummary, summarize, summarize_plan
 
 
 @dataclass
@@ -66,6 +66,14 @@ def to_logical(node: PhysicalPlan) -> LogicalPlan:
     if isinstance(node, Ship):
         assert node.child is not None
         return to_logical(node.child)
+    return _logical_node(node, tuple(to_logical(c) for c in node.children()))
+
+
+def _logical_node(
+    node: PhysicalPlan, inputs: tuple[LogicalPlan, ...]
+) -> LogicalPlan:
+    """The logical operator ``node`` (not a SHIP) computes, over the
+    already reconstructed logical queries of its inputs."""
     if isinstance(node, TableScan):
         return LogicalScan(
             table=node.table,
@@ -75,34 +83,27 @@ def to_logical(node: PhysicalPlan) -> LogicalPlan:
             scan_fields=node.fields,
         )
     if isinstance(node, Filter):
-        assert node.child is not None and node.predicate is not None
-        return LogicalFilter(to_logical(node.child), node.predicate)
+        assert node.predicate is not None
+        return LogicalFilter(inputs[0], node.predicate)
     if isinstance(node, Project):
-        assert node.child is not None
-        return LogicalProject(to_logical(node.child), node.exprs, node.names)
+        return LogicalProject(inputs[0], node.exprs, node.names)
     if isinstance(node, HashJoin):
-        assert node.left is not None and node.right is not None
         conjuncts = [
             _eq(l, r) for l, r in zip(node.left_keys, node.right_keys)
         ]
         if node.residual is not None:
             conjuncts.append(node.residual)
-        return LogicalJoin(
-            to_logical(node.left), to_logical(node.right), conjunction(conjuncts)
-        )
+        return LogicalJoin(inputs[0], inputs[1], conjunction(conjuncts))
     if isinstance(node, NestedLoopJoin):
-        assert node.left is not None and node.right is not None
-        return LogicalJoin(to_logical(node.left), to_logical(node.right), node.condition)
+        return LogicalJoin(inputs[0], inputs[1], node.condition)
     if isinstance(node, HashAggregate):
-        assert node.child is not None
         return LogicalAggregate(
-            to_logical(node.child), node.group_keys, node.aggregates, node.agg_names
+            inputs[0], node.group_keys, node.aggregates, node.agg_names
         )
     if isinstance(node, UnionAll):
-        return LogicalUnion(tuple(to_logical(c) for c in node.inputs))
+        return LogicalUnion(inputs)
     if isinstance(node, Sort):
-        assert node.child is not None
-        return LogicalSort(to_logical(node.child), node.sort_keys, node.limit)
+        return LogicalSort(inputs[0], node.sort_keys, node.limit)
     raise TypeError(f"unknown physical operator {type(node).__name__}")
 
 
@@ -112,13 +113,20 @@ def _eq(left, right):
     return Comparison(ComparisonOp.EQ, left, right)
 
 
+def _summary_grant(
+    evaluator: PolicyEvaluator, summary: SubplanSummary
+) -> frozenset[str]:
+    """𝒜 of a summarized subplan, or ∅ when it is not a local
+    single-database query."""
+    local_query = summary.local_query()
+    if local_query is None:
+        return frozenset()
+    return evaluator.evaluate(local_query)
+
+
 def _grant(evaluator: PolicyEvaluator, logical: LogicalPlan) -> frozenset[str]:
     """𝒜 of a subplan, or ∅ when it is not a local single-database query."""
-    if len(logical.source_databases) != 1:
-        return frozenset()
-    if any(isinstance(n, LogicalUnion) for n in logical.walk()):
-        return frozenset()
-    return evaluator.evaluate(describe_local_query(logical))
+    return _summary_grant(evaluator, summarize_plan(logical))
 
 
 # -- content-based check -------------------------------------------------------
@@ -140,7 +148,7 @@ def _scan_site_violation(
     catalog = evaluator.policies.catalog
     try:
         stored = catalog.stored_table(node.database, node.table)
-    except Exception:
+    except CatalogError:
         return None  # unknown fragment: nothing to validate against
     if node.location == stored.location:
         return None
@@ -166,14 +174,24 @@ def _scan_site_violation(
 def check_compliance(
     plan: PhysicalPlan, evaluator: PolicyEvaluator
 ) -> list[Violation]:
-    """Content-based compliance check; empty result means compliant."""
+    """Content-based compliance check; empty result means compliant.
+
+    One bottom-up pass over the *physical* plan derives, per node, the
+    logical query it computes, that query's local-query summary and its
+    legal destinations — each from the node and its inputs' results, so
+    the check is linear in the plan.  Nothing is read from the
+    optimizer's memo, traits or grants."""
     violations: list[Violation] = []
     all_locations = evaluator.policies.all_locations
 
-    def legal_destinations(node: PhysicalPlan) -> frozenset[str]:
+    def derive(
+        node: PhysicalPlan,
+    ) -> tuple[frozenset[str], LogicalPlan, SubplanSummary]:
+        """(legal destinations, logical query, summary) of ``node``."""
         if isinstance(node, Ship):
             assert node.child is not None
-            allowed = legal_destinations(node.child)
+            derived = derive(node.child)
+            allowed = derived[0]
             if node.target != node.source and node.target not in allowed:
                 violations.append(
                     Violation(
@@ -182,7 +200,8 @@ def check_compliance(
                         f"{node.target!r}",
                     )
                 )
-            return allowed
+            return derived
+        inputs = [derive(child) for child in node.children()]
         if isinstance(node, TableScan):
             # The scan's output is available at its own site; whether
             # that site was a legal *source* (primary or compliant
@@ -193,8 +212,8 @@ def check_compliance(
             executable = frozenset([node.location])
         else:
             executable = all_locations
-            for child in node.children():
-                executable = executable & legal_destinations(child)
+            for legal, _logical, _summary in inputs:
+                executable = executable & legal
             if node.location not in executable:
                 violations.append(
                     Violation(
@@ -203,10 +222,11 @@ def check_compliance(
                         f"legal at {sorted(executable)}",
                     )
                 )
-        logical = to_logical(node)
-        return executable | _grant(evaluator, logical)
+        logical = _logical_node(node, tuple(i[1] for i in inputs))
+        summary = summarize(logical, [i[2] for i in inputs])
+        return executable | _summary_grant(evaluator, summary), logical, summary
 
-    legal_destinations(plan)
+    derive(plan)
     return violations
 
 

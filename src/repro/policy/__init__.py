@@ -3,7 +3,14 @@
 from .language import ALL_LOCATIONS, PolicyExpression
 from .parser import parse_policy
 from .catalog import PolicyCatalog
-from .localquery import Lineage, LocalQuery, describe_local_query
+from .localquery import (
+    Lineage,
+    LocalQuery,
+    SubplanSummary,
+    describe_local_query,
+    summarize,
+    summarize_plan,
+)
 from .evaluator import PolicyEvalStats, PolicyEvaluator
 from .replicas import ReplicaResolver
 from .negation import (
@@ -20,7 +27,10 @@ __all__ = [
     "PolicyCatalog",
     "Lineage",
     "LocalQuery",
+    "SubplanSummary",
     "describe_local_query",
+    "summarize",
+    "summarize_plan",
     "PolicyEvalStats",
     "PolicyEvaluator",
     "ReplicaResolver",

@@ -54,6 +54,8 @@ class PolicyCatalog:
         self._pid_of: dict[int, int] = {}
         #: (version, pid) per invalidating mutation (remove/replace).
         self._change_log: list[tuple[int, int]] = []
+        #: (schema catalog version, its locations) — see all_locations.
+        self._locations: tuple[int, frozenset[str]] | None = None
 
     def add(self, expression: PolicyExpression) -> PolicyExpression:
         for table in expression.tables:
@@ -144,5 +146,9 @@ class PolicyCatalog:
 
     @property
     def all_locations(self) -> frozenset[str]:
-        """All locations of the system (resolves the ``to *`` wildcard)."""
-        return frozenset(self.catalog.locations)
+        """All locations of the system (resolves the ``to *`` wildcard);
+        rebuilt only when the schema catalog's version moved."""
+        version = self.catalog.version
+        if self._locations is None or self._locations[0] != version:
+            self._locations = (version, frozenset(self.catalog.locations))
+        return self._locations[1]

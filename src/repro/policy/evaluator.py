@@ -27,10 +27,12 @@ policy-derived set (the form used in Table 1 of the paper).
 
 from __future__ import annotations
 
+from collections.abc import Set
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..errors import CatalogError
 from ..expr import BaseColumn, Expression, implies
 from .catalog import PolicyCatalog
 from .language import PolicyExpression
@@ -144,7 +146,9 @@ class PolicyEvaluator:
             # docstring of localquery.
             return home_set
 
-        granted: dict[BaseColumn, set[str]] = {a: set() for a in attributes}
+        #: location -> the attributes of A_q some applied expression lets
+        #: travel there (``L_a`` of Algorithm 1, indexed by location).
+        reach: dict[str, set[BaseColumn]] = {}
         relevant = self._relevant_expressions(attributes)
         if self._dependency_sink is not None:
             for expression in relevant:
@@ -155,42 +159,51 @@ class PolicyEvaluator:
             self.stats.expressions_scanned += 1
             if not self._implies(query.predicate, expression.predicate):
                 continue
-            destinations = expression.destinations_resolved(all_locations)
-            applied = False
-            for attribute in attributes:
-                if self._expression_grants(expression, query, attribute):
-                    granted[attribute] |= destinations
-                    applied = True
-            if applied:
+            allowed: Set[BaseColumn] = frozenset()
+            if not expression.is_aggregate:
+                # Basic expression: covers the raw and any more-aggregated
+                # use of its ship attributes (every attribute of A_q has
+                # a lineage in the query output).
+                allowed = attributes & expression.ship_attributes
+            elif query.is_aggregate and query.group_bases <= expression.group_by:
+                # An aggregate expression cannot authorize a
+                # non-aggregated query, nor one with G_q ⊄ G_e (the empty
+                # G_q of a full-column aggregate passes).
+                allowed = {
+                    attribute
+                    for attribute in attributes
+                    if self._aggregate_use_allowed(expression, query, attribute)
+                }
+            if allowed:
                 self.stats.eta += 1
+                for location in expression.destinations_resolved(all_locations):
+                    reach.setdefault(location, set()).update(allowed)
 
-        result: frozenset[str] | None = None
-        for attribute in attributes:
-            locations = frozenset(granted[attribute])
-            result = locations if result is None else (result & locations)
-            if not result and not home_set:
-                return frozenset()
-        assert result is not None
-        return result | home_set
+        # ⋂_{a ∈ A_q} L_a: the locations every attribute may travel to.
+        everywhere = len(attributes)
+        return home_set.union(
+            [location for location, able in reach.items() if len(able) == everywhere]
+        )
 
     # -- internals -----------------------------------------------------------
 
     def _home_location(self, database: str) -> str | None:
         try:
             return self.policies.catalog.database(database).location
-        except Exception:  # unknown database: no home shortcut
+        except CatalogError:  # unknown database: no home shortcut
             return None
 
     def _relevant_expressions(
         self, attributes: frozenset[BaseColumn]
     ) -> list[PolicyExpression]:
         tables = {(a.database, a.table) for a in attributes}
-        seen: list[PolicyExpression] = []
+        # A multi-table expression is registered under each of its
+        # tables: keep its first occurrence (identity, insertion order).
+        seen: dict[int, PolicyExpression] = {}
         for database, table in sorted(tables):
             for expression in self.policies.for_table(database, table):
-                if all(expression is not s for s in seen):
-                    seen.append(expression)
-        return seen
+                seen.setdefault(id(expression), expression)
+        return list(seen.values())
 
     def _implies(
         self, query_predicate: Expression | None, policy_predicate: Expression | None
@@ -216,28 +229,17 @@ class PolicyEvaluator:
             self.stats.implication_passes += 1
         return verdict
 
-    def _expression_grants(
+    def _aggregate_use_allowed(
         self,
         expression: PolicyExpression,
         query: LocalQuery,
         attribute: BaseColumn,
     ) -> bool:
-        """Does ``expression`` allow shipping ``attribute`` as it appears in
-        the query output?  (Algorithm 1 lines 4–10, attribute-wise.)"""
-        lineages = query.lineages_of(attribute)
-        if not lineages:
-            return False
-        if not expression.is_aggregate:
-            # Basic expression: covers raw and any more-aggregated use.
-            return attribute in expression.ship_attributes
-        if not query.is_aggregate:
-            # Aggregate expression cannot authorize a non-aggregated query.
-            return False
-        if not (query.group_bases <= expression.group_by):
-            # G_q ⊄ G_e (the empty G_q of a full-column aggregate passes).
-            return False
+        """Does the aggregate ``expression`` (with ``G_q ⊆ G_e``) allow
+        shipping ``attribute`` ∈ ``A_q`` as it appears in the aggregate
+        query's output?  (Algorithm 1 lines 7–10, attribute-wise.)"""
         granted = False
-        for lineage in lineages:
+        for lineage in query.lineages_of(attribute):
             if lineage.is_raw:
                 # Raw appearance in an aggregate query means the attribute
                 # is (part of) a grouping key: allowed when e lists it as a

@@ -17,11 +17,21 @@ under-approximate the legal location set):
   still treated as aggregated with its recorded functions.
 * Output expressions with no base attributes (literals, COUNT(*)) expose
   no attribute and therefore grant nothing on their own.
+
+The analysis is compositional: what an operator contributes depends on
+its own arguments and on the analysis of its inputs, never on the input
+*plans*.  :func:`summarize` exposes that one step, so a caller that
+meets a plan bottom-up (the annotator walking memo groups, the validator
+walking a physical plan) describes every subplan in time linear in the
+plan instead of re-analyzing each subtree from its leaves.  Summaries
+are plain values owned by the caller; nothing here is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 from ..errors import OptimizerError
 from ..expr import (
@@ -72,18 +82,81 @@ class LocalQuery:
     is_aggregate: bool
     group_bases: frozenset[BaseColumn] = frozenset()
 
-    @property
+    @cached_property
+    def _lineages(self) -> dict[BaseColumn, list[Lineage]]:
+        """Per base attribute, the lineages of the output fields that
+        mention it, in output order — built once per query."""
+        table: dict[BaseColumn, list[Lineage]] = {}
+        for _name, lineage in self.output:
+            for base in lineage.bases:
+                table.setdefault(base, []).append(lineage)
+        return table
+
+    @cached_property
     def output_attributes(self) -> frozenset[BaseColumn]:
         """``A_q``: every base attribute mentioned in output expressions."""
-        out: set[BaseColumn] = set()
-        for _name, lineage in self.output:
-            out |= lineage.bases
-        return frozenset(out)
+        return frozenset(self._lineages)
 
     def lineages_of(self, attribute: BaseColumn) -> list[Lineage]:
-        return [
-            lin for _name, lin in self.output if attribute in lin.bases
-        ]
+        return self._lineages.get(attribute, [])
+
+
+@dataclass(slots=True)
+class _State:
+    field_lineage: dict[str, Lineage]
+    #: Conjuncts of every filter and join predicate below, in plan order.
+    predicates: tuple[Expression, ...] = ()
+    is_aggregate: bool = False
+    group_bases: frozenset[BaseColumn] = frozenset()
+
+
+@dataclass(slots=True)
+class SubplanSummary:
+    """What is known bottom-up about a logical subplan: the databases it
+    reads and — while it still is a local query (one database, no UNION
+    of fragments) — the analysis 𝒜's ingredients are read from."""
+
+    databases: frozenset[str]
+    state: _State | None
+
+    def local_query(self) -> LocalQuery | None:
+        """The evaluator's view of the subplan; ``None`` when it is not a
+        local query (it then gets shipping traits via AR3 only)."""
+        state = self.state
+        if state is None or len(self.databases) != 1:
+            return None
+        predicate = conjunction(state.predicates) if state.predicates else None
+        if predicate is not None and not split_conjuncts(predicate):
+            predicate = None
+        return LocalQuery(
+            database=next(iter(self.databases)),
+            output=tuple(state.field_lineage.items()),
+            predicate=predicate,
+            is_aggregate=state.is_aggregate,
+            group_bases=state.group_bases,
+        )
+
+
+def summarize(op: LogicalPlan, inputs: Sequence[SubplanSummary]) -> SubplanSummary:
+    """Summary of the subplan rooted at operator ``op`` from the
+    summaries of its inputs.  Only ``op``'s own arguments are read — its
+    children may be full plans, memo group references or anything else."""
+    if isinstance(op, LogicalScan):
+        return SubplanSummary(frozenset([op.database]), _analyze(op, ()))
+    databases = inputs[0].databases.union(*[s.databases for s in inputs[1:]])
+    states = [s.state for s in inputs]
+    if (
+        len(databases) != 1
+        or isinstance(op, LogicalUnion)
+        or any(state is None for state in states)
+    ):
+        return SubplanSummary(databases, None)
+    return SubplanSummary(databases, _analyze(op, states))  # type: ignore[arg-type]
+
+
+def summarize_plan(plan: LogicalPlan) -> SubplanSummary:
+    """:func:`summarize` applied bottom-up over a whole logical plan."""
+    return summarize(plan, [summarize_plan(child) for child in plan.children()])
 
 
 def describe_local_query(plan: LogicalPlan) -> LocalQuery:
@@ -93,31 +166,18 @@ def describe_local_query(plan: LogicalPlan) -> LocalQuery:
     caller — annotation rule AR4 — must only invoke this on local
     subplans).
     """
-    databases = plan.source_databases
-    if len(databases) != 1:
+    summary = summarize_plan(plan)
+    if len(summary.databases) != 1:
         raise OptimizerError(
-            f"describe_local_query needs a single-database subplan, got {sorted(databases)}"
+            "describe_local_query needs a single-database subplan, got "
+            f"{sorted(summary.databases)}"
         )
-
-    predicates: list[Expression] = []
-    state = _analyze(plan, predicates)
-    predicate = conjunction(predicates) if predicates else None
-    if predicate is not None and not split_conjuncts(predicate):
-        predicate = None
-    return LocalQuery(
-        database=next(iter(databases)),
-        output=tuple(state.field_lineage.items()),
-        predicate=predicate,
-        is_aggregate=state.is_aggregate,
-        group_bases=state.group_bases,
-    )
-
-
-@dataclass
-class _State:
-    field_lineage: dict[str, Lineage]
-    is_aggregate: bool = False
-    group_bases: frozenset[BaseColumn] = frozenset()
+    local_query = summary.local_query()
+    if local_query is None:
+        raise OptimizerError(
+            "a UNION of fragments spans databases and is never a local query"
+        )
+    return local_query
 
 
 def _expr_lineage(expr: Expression, child: dict[str, Lineage]) -> Lineage:
@@ -132,7 +192,8 @@ def _expr_lineage(expr: Expression, child: dict[str, Lineage]) -> Lineage:
     return Lineage(frozenset(bases), frozenset(aggs))
 
 
-def _analyze(plan: LogicalPlan, predicates: list[Expression]) -> _State:
+def _analyze(plan: LogicalPlan, inputs: Sequence[_State]) -> _State:
+    """One analysis step: ``plan``'s operator over analyzed inputs."""
     if isinstance(plan, LogicalScan):
         lineage = {
             f.name: Lineage(frozenset([f.base]) if f.base else frozenset())
@@ -140,32 +201,33 @@ def _analyze(plan: LogicalPlan, predicates: list[Expression]) -> _State:
         }
         return _State(lineage)
     if isinstance(plan, LogicalFilter):
-        state = _analyze(plan.child, predicates)
-        predicates.extend(split_conjuncts(plan.predicate))
-        return state
+        (state,) = inputs
+        return _State(
+            state.field_lineage,
+            state.predicates + tuple(split_conjuncts(plan.predicate)),
+            state.is_aggregate,
+            state.group_bases,
+        )
     if isinstance(plan, LogicalJoin):
-        left = _analyze(plan.left, predicates)
-        right = _analyze(plan.right, predicates)
-        if plan.condition is not None:
-            predicates.extend(split_conjuncts(plan.condition))
+        left, right = inputs
         lineage = dict(left.field_lineage)
         lineage.update(right.field_lineage)
-        group_bases = left.group_bases | right.group_bases
         return _State(
             lineage,
+            left.predicates + right.predicates + tuple(split_conjuncts(plan.condition)),
             is_aggregate=left.is_aggregate or right.is_aggregate,
-            group_bases=group_bases,
+            group_bases=left.group_bases | right.group_bases,
         )
     if isinstance(plan, LogicalProject):
-        state = _analyze(plan.child, predicates)
+        (state,) = inputs
         lineage = {
             name: _expr_lineage(expr, state.field_lineage)
             for expr, name in zip(plan.exprs, plan.names)
         }
-        return _State(lineage, state.is_aggregate, state.group_bases)
+        return _State(lineage, state.predicates, state.is_aggregate, state.group_bases)
     if isinstance(plan, LogicalAggregate):
-        state = _analyze(plan.child, predicates)
-        lineage: dict[str, Lineage] = {}
+        (state,) = inputs
+        lineage = {}
         group_bases: set[BaseColumn] = set()
         for key in plan.group_keys:
             key_lineage = state.field_lineage.get(
@@ -183,11 +245,9 @@ def _analyze(plan: LogicalPlan, predicates: list[Expression]) -> _State:
             )
         # The outermost aggregate determines G_q: what this subplan's
         # output is grouped by.
-        return _State(lineage, is_aggregate=True, group_bases=frozenset(group_bases))
-    if isinstance(plan, LogicalSort):
-        return _analyze(plan.child, predicates)
-    if isinstance(plan, LogicalUnion):
-        raise OptimizerError(
-            "a UNION of fragments spans databases and is never a local query"
+        return _State(
+            lineage, state.predicates, is_aggregate=True, group_bases=frozenset(group_bases)
         )
+    if isinstance(plan, LogicalSort):
+        return inputs[0]
     raise OptimizerError(f"unknown logical operator {type(plan).__name__}")

@@ -29,10 +29,10 @@ mixing both sides, or non-equi join conjuncts touching the pushed side.
 
 from __future__ import annotations
 
-from typing import Sequence
+import hashlib
 
-from ...datatypes import DataType
-from ...expr import (
+from repro.datatypes import DataType
+from repro.expr import (
     AggregateCall,
     AggregateFunction,
     Arithmetic,
@@ -42,78 +42,78 @@ from ...expr import (
     ComparisonOp,
     Expression,
     expression_dtype,
+    split_conjuncts,
 )
-from ...plan import LogicalAggregate, LogicalJoin, LogicalPlan
-from ..memo import Memo, MExpr
-from .base import COMBINERS, TransformationRule, stable_suffix
+from repro.plan import LogicalAggregate, LogicalJoin, LogicalPlan
+from ..memo import GroupRef, Memo, MExpr
+from .base import TransformationRule
+
+_COMBINERS = {
+    AggregateFunction.SUM: AggregateFunction.SUM,
+    AggregateFunction.COUNT: AggregateFunction.SUM,
+    AggregateFunction.MIN: AggregateFunction.MIN,
+    AggregateFunction.MAX: AggregateFunction.MAX,
+}
 
 #: Aggregates whose value depends on input multiplicity.
 _DUPLICATE_SENSITIVE = {AggregateFunction.SUM, AggregateFunction.COUNT}
 
 
+def _stable_suffix(token: str) -> str:
+    return hashlib.md5(token.encode("utf-8")).hexdigest()[:10]
+
+
 class AggregateJoinTranspose(TransformationRule):
-    """Γ(L ⋈ R)  →  Γ'(L ⋈ Γ_partial(R))  (and symmetrically for L).
-    Inspects the child group for its joins."""
+    """Γ(L ⋈ R)  →  Γ'(L ⋈ Γ_partial(R))  (and symmetrically for L)."""
 
     name = "aggregate-join-transpose"
-    root = LogicalAggregate
-    inner = LogicalJoin
 
-    def apply(
-        self, mexpr: MExpr, memo: Memo, gained: Sequence[MExpr] = ()
-    ) -> list[LogicalPlan]:
-        plan: LogicalAggregate = mexpr.plan  # type: ignore[assignment]
-        if any(agg.func not in COMBINERS for agg in plan.aggregates):
+    def apply(self, mexpr: MExpr, memo: Memo) -> list[LogicalPlan]:
+        plan = mexpr.plan
+        if not isinstance(plan, LogicalAggregate):
             return []
-        argument_refs = [
-            None if agg.argument is None else agg.argument.references()
-            for agg in plan.aggregates
-        ]
+        child = plan.child
+        if not isinstance(child, GroupRef):
+            return []
+        if any(agg.func not in _COMBINERS for agg in plan.aggregates):
+            return []
         results: list[LogicalPlan] = []
-        for join_mexpr in gained:
+        for join_mexpr in list(memo.group(child.group_id).exprs):
+            join = join_mexpr.plan
+            if not isinstance(join, LogicalJoin):
+                continue
             for side in ("left", "right"):
-                rewritten = self._push_into_side(
-                    plan, argument_refs, join_mexpr, side, memo
-                )
+                rewritten = self._push_into_side(plan, join, side, memo)
                 if rewritten is not None:
                     results.append(rewritten)
         return results
 
     def _push_into_side(
-        self,
-        aggregate: LogicalAggregate,
-        argument_refs: list[frozenset[str] | None],
-        join_mexpr: MExpr,
-        side: str,
-        memo: Memo,
+        self, aggregate: LogicalAggregate, join: LogicalJoin, side: str, memo: Memo
     ) -> LogicalPlan | None:
-        join: LogicalJoin = join_mexpr.plan  # type: ignore[assignment]
         target = join.left if side == "left" else join.right
         other = join.right if side == "left" else join.left
-        # Γ over A ⋈ B pushed into A is the same alternative whether it
-        # was met as the left side of A ⋈ B or as the right side of the
-        # commuted B ⋈ A (the memo keys the new join canonically): derive
-        # it once.
-        if not memo.first_time(
-            (id(aggregate), target.group_id, other.group_id, id(join.condition))
-        ):
+        if not isinstance(target, GroupRef) or not isinstance(other, GroupRef):
             return None
-        target_group = memo.group(target.group_id)
         # Never push into a side that is already aggregate-rooted: stacking
         # partial aggregates on partial aggregates recurses forever and is
         # never profitable.
-        if issubclass(target_group.root_type, LogicalAggregate):
+        if any(
+            isinstance(m.plan, LogicalAggregate)
+            for m in memo.group(target.group_id).exprs
+        ):
             return None
-        target_names = target_group.field_names
+        target_names = set(target.field_names)
 
         # Classify aggregates: pushed (args entirely on target side) vs
         # kept (args entirely on the other side, or COUNT(*)).
         pushed: list[AggregateCall] = []
         kept: list[AggregateCall] = []
-        for agg, refs in zip(aggregate.aggregates, argument_refs):
-            if refs is None:  # COUNT(*): rescaled on the outer side
+        for agg in aggregate.aggregates:
+            if agg.argument is None:  # COUNT(*): rescaled on the outer side
                 kept.append(agg)
                 continue
+            refs = set(agg.argument.references())
             if refs <= target_names:
                 pushed.append(agg)
             elif refs & target_names:
@@ -127,7 +127,8 @@ class AggregateJoinTranspose(TransformationRule):
 
         # Join conjuncts touching the target side must be plain equalities.
         join_keys: list[ColumnRef] = []
-        for _text, conjunct, refs in memo.conjuncts(join_mexpr):
+        for conjunct in split_conjuncts(join.condition):
+            refs = set(conjunct.references())
             if not (refs & target_names):
                 continue
             key = _target_equi_key(conjunct, target_names)
@@ -146,12 +147,12 @@ class AggregateJoinTranspose(TransformationRule):
                 partial_keys.append(key)
 
         key_token = ",".join(sorted(seen))
-        count_name = f"$pcnt_{stable_suffix(key_token + '|' + str(target.group_id))}"
+        count_name = f"$pcnt_{_stable_suffix(key_token + '|' + str(target.group_id))}"
         count_ref = ColumnRef(count_name, DataType.INTEGER, None)
 
         partial_aggs: list[AggregateCall] = list(pushed)
         partial_names = [
-            f"$p_{stable_suffix(f'{agg}|{key_token}|{target.group_id}')}"
+            f"$p_{_stable_suffix(f'{agg}|{key_token}|{target.group_id}')}"
             for agg in pushed
         ]
         partial_aggs.append(AggregateCall(AggregateFunction.COUNT, None))
@@ -164,7 +165,7 @@ class AggregateJoinTranspose(TransformationRule):
             if id(agg) in pushed_index:
                 name = partial_names[pushed_index[id(agg)]]
                 ref = ColumnRef(name, expression_dtype(agg), None)
-                outer_aggs.append(AggregateCall(COMBINERS[agg.func], ref))
+                outer_aggs.append(AggregateCall(_COMBINERS[agg.func], ref))
             elif agg.argument is None:  # COUNT(*) → SUM(pcnt)
                 outer_aggs.append(AggregateCall(AggregateFunction.SUM, count_ref))
             elif agg.func in _DUPLICATE_SENSITIVE:  # SUM(y) → SUM(y * pcnt)
@@ -185,9 +186,7 @@ class AggregateJoinTranspose(TransformationRule):
         )
 
 
-def _target_equi_key(
-    conjunct: Expression, target_names: frozenset[str]
-) -> ColumnRef | None:
+def _target_equi_key(conjunct: Expression, target_names: set[str]) -> ColumnRef | None:
     """If ``conjunct`` is ``target_col = other_col``, return the target-side
     column; otherwise ``None`` (rewrite not applicable)."""
     if not isinstance(conjunct, Comparison) or conjunct.op != ComparisonOp.EQ:

@@ -22,58 +22,76 @@ aggregate-only policies.
 
 from __future__ import annotations
 
-from typing import Sequence
+import hashlib
 
-from ...expr import AggregateCall, ColumnRef, expression_dtype
-from ...plan import LogicalAggregate, LogicalPlan, LogicalUnion
-from ..memo import Memo, MExpr
-from .base import COMBINERS, TransformationRule, stable_suffix
+from repro.expr import AggregateCall, AggregateFunction, ColumnRef, expression_dtype
+from repro.plan import LogicalAggregate, LogicalPlan, LogicalUnion
+from ..memo import GroupRef, Memo, MExpr
+from .base import TransformationRule
+
+_COMBINERS = {
+    AggregateFunction.SUM: AggregateFunction.SUM,
+    AggregateFunction.COUNT: AggregateFunction.SUM,
+    AggregateFunction.MIN: AggregateFunction.MIN,
+    AggregateFunction.MAX: AggregateFunction.MAX,
+}
+
+
+def _stable_suffix(token: str) -> str:
+    return hashlib.md5(token.encode("utf-8")).hexdigest()[:10]
 
 
 class AggregateUnionTranspose(TransformationRule):
-    """Γ(∪ᵢ Rᵢ)  →  Γ_final(∪ᵢ Γ_partial(Rᵢ)).  Inspects the child
-    group for its unions."""
+    """Γ(∪ᵢ Rᵢ)  →  Γ_final(∪ᵢ Γ_partial(Rᵢ))."""
 
     name = "aggregate-union-transpose"
-    root = LogicalAggregate
-    inner = LogicalUnion
 
-    def apply(
-        self, mexpr: MExpr, memo: Memo, gained: Sequence[MExpr] = ()
-    ) -> list[LogicalPlan]:
-        plan: LogicalAggregate = mexpr.plan  # type: ignore[assignment]
-        if any(agg.func not in COMBINERS for agg in plan.aggregates):
+    def apply(self, mexpr: MExpr, memo: Memo) -> list[LogicalPlan]:
+        plan = mexpr.plan
+        if not isinstance(plan, LogicalAggregate):
+            return []
+        child = plan.child
+        if not isinstance(child, GroupRef):
+            return []
+        if any(agg.func not in _COMBINERS for agg in plan.aggregates):
             return []
         results: list[LogicalPlan] = []
-        for union_mexpr in gained:
-            rewritten = self._push_below_union(plan, union_mexpr, memo)
+        for union_mexpr in list(memo.group(child.group_id).exprs):
+            union = union_mexpr.plan
+            if not isinstance(union, LogicalUnion):
+                continue
+            rewritten = self._push_below_union(plan, union, memo)
             if rewritten is not None:
                 results.append(rewritten)
         return results
 
     def _push_below_union(
-        self, aggregate: LogicalAggregate, union_mexpr: MExpr, memo: Memo
+        self, aggregate: LogicalAggregate, union: LogicalUnion, memo: Memo
     ) -> LogicalPlan | None:
-        branches = union_mexpr.plan.children()
-        branch_groups = [memo.group(g) for g in union_mexpr.child_groups]
+        branches = union.inputs
+        if not all(isinstance(b, GroupRef) for b in branches):
+            return None
         # Recursion guard: never stack partial aggregates on branches that
         # are already aggregate-rooted.
-        for group in branch_groups:
-            if issubclass(group.root_type, LogicalAggregate):
+        for branch in branches:
+            if any(
+                isinstance(m.plan, LogicalAggregate)
+                for m in memo.group(branch.group_id).exprs  # type: ignore[union-attr]
+            ):
                 return None
-        branch_names = branch_groups[0].field_names
+        branch_names = set(branches[0].field_names)
         for key in aggregate.group_keys:
             if key.name not in branch_names:
                 return None
         for agg in aggregate.aggregates:
             if agg.argument is not None and not (
-                agg.argument.references() <= branch_names
+                set(agg.argument.references()) <= branch_names
             ):
                 return None
 
         key_token = ",".join(sorted(k.name for k in aggregate.group_keys))
         partial_names = tuple(
-            f"$u_{stable_suffix(f'{agg}|{key_token}')}" for agg in aggregate.aggregates
+            f"$u_{_stable_suffix(f'{agg}|{key_token}')}" for agg in aggregate.aggregates
         )
         partials = tuple(
             LogicalAggregate(
@@ -84,7 +102,7 @@ class AggregateUnionTranspose(TransformationRule):
         new_union = LogicalUnion(partials)
         outer_aggs = tuple(
             AggregateCall(
-                COMBINERS[agg.func],
+                _COMBINERS[agg.func],
                 ColumnRef(name, expression_dtype(agg), None),
             )
             for agg, name in zip(aggregate.aggregates, partial_names)

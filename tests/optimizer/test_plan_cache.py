@@ -386,3 +386,28 @@ def test_stats_window_invariant_across_queries(world):
         cold.implication_cache_hits
         + cold.implication_cache_misses
     )
+
+
+# -- what an entry keeps alive ---------------------------------------------------
+
+
+def test_entries_do_not_pin_the_memo(world):
+    """A cached template is read for its annotated root and its counts;
+    the explored memo stays with the caller of the cold optimization and
+    is garbage once they drop it — not one memo per cached shape."""
+    _, _, _, optimizer, _, _, _ = world
+    template = "SELECT t.k, u.w FROM t, u WHERE t.k = u.k AND t.seg = '{s}'"
+    cold = optimizer.optimize(template.format(s="a"))
+    assert not cold.cache_hit
+    assert cold.annotate.memo is not None  # the fresh result keeps it
+    assert cold.annotate.memo.group_count == cold.annotate.group_count
+
+    (entry,) = optimizer.plan_cache._entries.values()
+    assert entry.annotate.memo is None
+    assert entry.annotate.root is cold.annotate.root
+
+    hit = optimizer.optimize(template.format(s="b"))
+    assert hit.cache_hit and hit.annotate.memo is None
+    assert hit.annotate.group_count == cold.annotate.group_count > 0
+    assert hit.annotate.expression_count == cold.annotate.expression_count > 0
+    assert hit.annotate.explore_stats == cold.annotate.explore_stats
