@@ -8,7 +8,7 @@ curated policy sets, and both optimizers:
     python -m repro explain  "SELECT ..."  [--set CR] [--traditional]
                                            [--traits] [--result-location L]
     python -m repro run      "SELECT ..."  [--set CR] [--scale 0.005]
-                                           [--parallel] [--workers N]
+                                           [--parallel]
                                            [--executor {row,batch}]
                                            [--explain-fragments]
                                            [--faults SPEC] [--retries N]
@@ -253,14 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--parallel",
         action="store_true",
-        help="execute plan fragments concurrently and report the simulated "
-        "critical-path makespan alongside the shipping-time sum",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread-pool size for --parallel (default: min(8, #cores))",
+        help="execute the plan fragment by fragment on the simulated WAN "
+        "clock and report the critical-path makespan alongside the "
+        "shipping-time sum",
     )
     run.add_argument(
         "--executor",
@@ -417,12 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="operator backend (default: row)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread-pool size per query (default: min(8, #cores))",
-    )
-    serve.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -565,7 +554,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             network,
             policy_guard=optimizer.evaluator,
             parallel=parallel,
-            max_workers=args.workers,
             faults=faults,
             retry_policy=retry_policy,
             executor=args.executor,
@@ -700,7 +688,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         faults=faults,
         retry_policy=retry_policy,
         executor=args.executor,
-        max_workers=args.workers,
         freshness=freshness,
         ship=_build_ship(args),
     )

@@ -10,13 +10,14 @@ would ship restricted data is refused with
 
 Two execution modes produce row-identical results:
 
-* **sequential** (default) — one thread evaluates the whole tree
-  depth-first; cost is reported as the sum of SHIP transfer times.
+* **sequential** (default) — the whole tree is evaluated depth-first;
+  cost is reported as the sum of SHIP transfer times.
 * **parallel** (``parallel=True``) — the plan is cut at SHIP boundaries
-  into per-site fragments (:mod:`repro.execution.fragments`) which run
-  concurrently on a thread pool while an event-driven simulation
-  computes ``makespan_seconds``, the critical-path response time under
-  the ``α + β·bytes`` model (:mod:`repro.execution.scheduler`).
+  into per-site fragments (:mod:`repro.execution.fragments`), run one
+  after another in topological order while an event-driven simulation
+  overlaps them on the simulated clock and computes
+  ``makespan_seconds``, the critical-path response time under the
+  ``α + β·bytes`` model (:mod:`repro.execution.scheduler`).
 
 Orthogonally, ``executor`` selects the operator backend for either mode:
 ``"row"`` (tuple-at-a-time, the default) or ``"batch"`` (columnar with
@@ -104,12 +105,11 @@ class ExecutionEngine:
         freshness: "FreshnessPolicy | None" = None,
         ship: "ShipConfig | None" = None,
     ) -> None:
-        validate_worker_count(max_workers)  # reject 0/negative up front
+        validate_worker_count(max_workers)  # accepted, never used
         self.database = database
         self.network = network or synthetic_network(database.catalog.locations)
         self.policy_guard = policy_guard
         self.parallel = parallel
-        self.max_workers = max_workers
         self.faults = faults
         self.retry_policy = retry_policy
         self.executor = validate_executor_name(executor)
@@ -170,7 +170,6 @@ class ExecutionEngine:
                 scheduler = FragmentScheduler(
                     self.database,
                     self.network,
-                    max_workers=self.max_workers,
                     faults=self.faults,
                     retry_policy=self.retry_policy,
                     compliance_guard=self.policy_guard,

@@ -255,8 +255,8 @@ class FaultPlan:
 
 def stable_fraction(*tokens: object) -> float:
     """Deterministic pseudo-random fraction in [0, 1) from tokens — used
-    for retry jitter so a transfer's schedule does not depend on thread
-    completion order (same approach as the synthetic network's layout)."""
+    for retry jitter so a transfer's schedule depends only on its
+    identity (same approach as the synthetic network's layout)."""
     digest = hashlib.sha256(
         "\x1f".join(str(t) for t in tokens).encode("utf-8")
     ).digest()

@@ -23,8 +23,8 @@ Fragment anatomy
 * ``fragments`` is in topological order — every producer precedes its
   consumer, and the result-producing fragment is last.
 
-The scheduler (:mod:`repro.execution.scheduler`) executes this DAG on a
-thread pool and advances a simulated clock along its edges.
+The scheduler (:mod:`repro.execution.scheduler`) executes this DAG in
+that order and advances a simulated clock along its edges.
 """
 
 from __future__ import annotations

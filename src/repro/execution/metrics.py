@@ -268,11 +268,3 @@ class ExecutionMetrics:
         self, operator: str, location: str, rows_out: int, seconds: float
     ) -> None:
         self.operators.append(OperatorRecord(operator, location, rows_out, seconds))
-
-    def absorb(self, other: "ExecutionMetrics") -> None:
-        """Fold one fragment's private metrics into this plan-level
-        object (the scheduler merges in deterministic fragment order)."""
-        self.rows_scanned += other.rows_scanned
-        self.operators_executed += other.operators_executed
-        self.ships.extend(other.ships)
-        self.operators.extend(other.operators)

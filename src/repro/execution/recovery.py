@@ -9,7 +9,7 @@ Two recovery mechanisms layer on top of the fault model
   consumer fragment's start time, so the reported makespan includes
   every retry delay.  Jitter is derived from a stable hash of the
   transfer's identity (never from wall-clock randomness), so a faulted
-  run is reproducible regardless of thread scheduling.
+  run is reproducible.
 
 * **Compliance-preserving failover** — when a fragment's site has
   crashed (or its inputs cannot reach it), :class:`FailoverPlanner`

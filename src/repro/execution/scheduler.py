@@ -1,17 +1,17 @@
-"""Fragment-parallel plan execution with a simulated, fault-injectable
+"""Fragment-by-fragment plan execution on a simulated, fault-injectable
 WAN clock.
 
 The sequential :class:`~repro.execution.operators.OperatorExecutor`
-evaluates a located plan depth-first on one thread, so independent
-subtrees that real sites would run concurrently execute one after the
-other — and the only cost it can report is the *sum* of all SHIP
-transfer times.  This scheduler executes the
+evaluates a located plan depth-first, and the only cost it can report
+is the *sum* of all SHIP transfer times.  This scheduler executes the
 :class:`~repro.execution.fragments.FragmentDAG` instead:
 
-* **Real concurrency** — fragments whose inputs are complete run on a
-  thread pool, so independent per-site work overlaps for actual
-  wall-clock speedup (the row results are identical to the sequential
-  engine's; equivalence is locked down by the executor test suite).
+* **One fixed order** — fragments are admitted and computed on the
+  calling thread in the DAG's topological order (producers first, the
+  result fragment last), so a run — down to which fragments ran before
+  an abort — repeats exactly.  Sites overlap only on the simulated
+  clock (the row results are identical to the sequential engine's;
+  equivalence is locked down by the executor test suite).
 * **Simulated response time** — an event-driven simulation advances one
   clock per site.  A fragment's simulated work starts when its last
   input transfer has arrived and finishes when its own output has been
@@ -45,19 +45,15 @@ slow-link degradation, and failover re-deliveries, so it may exceed the
 (successful-attempt) shipping sum; the chaos benchmark reports exactly
 this inflation.
 
-All simulation and recovery bookkeeping runs in the single-threaded
-coordinator loop; worker threads only evaluate operators.  Injected
-faults surface as :class:`~repro.errors.FaultError` subclasses and are
-absorbed by retry/failover/degradation — genuine operator failures are
-*not* absorbed: they cancel all pending sibling fragments and propagate
-to the caller unchanged.
+Injected faults surface as :class:`~repro.errors.FaultError`
+subclasses and are absorbed by retry/failover/degradation — genuine
+operator failures are *not* absorbed: they propagate to the caller
+unchanged, and no later fragment runs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from functools import partial
 
 from ..catalog import FRESHNESS_EPS
@@ -101,16 +97,14 @@ from .vectorized import BatchOperatorExecutor, ColumnBatch
 from .wire import ShipConfig, ShipTransfer, WireChunk
 
 
-def validate_worker_count(max_workers: int | None) -> int:
-    """Resolve and validate a thread-pool size; ``None`` means the
-    default of ``min(8, cores)``.  Zero and negative counts are rejected
-    here with a clear typed error (the shared
-    :func:`~repro.validation.validate_positive_int`) instead of
-    surfacing as an opaque crash deep inside
-    :class:`ThreadPoolExecutor` (or, worse for 0, silently falling back
-    to the default)."""
+def validate_worker_count(max_workers: int | None) -> int | None:
+    """Validate the ``max_workers`` keyword the scheduler, engine and
+    server still accept from existing call sites.  Fragments always run
+    on the calling thread, so the count has no effect; a zero or
+    negative count is still a caller bug and is rejected with the shared
+    typed error (:func:`~repro.validation.validate_positive_int`)."""
     if max_workers is None:
-        return min(8, os.cpu_count() or 1)
+        return None
     return validate_positive_int(max_workers, "worker count")
 
 
@@ -119,7 +113,7 @@ class _CutShips:
     SHIP leaves resolve to the producer fragments' already-computed
     results instead of recursing.
 
-    The transfer itself is accounted once, by the coordinator, when the
+    The transfer itself is accounted once, by the scheduler, when the
     consumer is admitted — so metrics totals match the sequential engine.
     """
 
@@ -145,7 +139,7 @@ class _CutShips:
 class _FragmentExecutor(_CutShips, OperatorExecutor):
     """Row backend over one fragment body.  A wire-decoded producer
     output arrives as columns (the codec's native form); this row
-    consumer transposes it, on its worker thread, when it reads it."""
+    consumer transposes it when it reads it."""
 
     run_fragment = OperatorExecutor.run
 
@@ -208,8 +202,10 @@ def _failed_outcome(error: FaultError, retries_left: bool) -> str:
 
 
 class FragmentScheduler:
-    """Executes a located plan fragment-by-fragment on a thread pool,
-    optionally under an injected fault schedule."""
+    """Executes a located plan fragment-by-fragment in topological
+    order, optionally under an injected fault schedule.  ``max_workers``
+    is validated and otherwise ignored (see
+    :func:`validate_worker_count`)."""
 
     def __init__(
         self,
@@ -226,7 +222,7 @@ class FragmentScheduler:
     ) -> None:
         self.database = database
         self.network = network
-        self.max_workers = validate_worker_count(max_workers)
+        validate_worker_count(max_workers)
         self.faults = faults if faults is not None else FaultPlan()
         self.retry_policy = retry_policy or RetryPolicy()
         self.compliance_guard = compliance_guard
@@ -256,8 +252,8 @@ class FragmentScheduler:
         ``deadline`` (absolute, simulated) cancels the query
         cooperatively at the next fragment boundary once the clock
         passes it, raising a typed
-        :class:`~repro.errors.DeadlineExceeded` (pending sibling
-        fragments are cancelled by the pool-shutdown path)."""
+        :class:`~repro.errors.DeadlineExceeded` (no later fragment
+        runs)."""
         if start_at < 0.0:
             raise ExecutionError(f"start_at must be >= 0, got {start_at}")
         validate_timeout(deadline, "deadline")
@@ -273,8 +269,7 @@ class FragmentScheduler:
 class _ChaosRun:
     """State of one scheduled execution: the (possibly re-placed) plan
     and DAG, per-fragment results and simulated instants, and every
-    fault-recovery decision.  All methods run on the coordinator thread
-    except :meth:`_compute`, the worker-side operator evaluation."""
+    fault-recovery decision."""
 
     #: Hard cap on failovers per run — each failover excludes a site for
     #: its fragment, so this is never reached on sane site counts; it
@@ -326,9 +321,11 @@ class _ChaosRun:
         #: leave its site (== ``ready`` for blocking fragments and
         #: whenever streaming is off).
         self.out_start: dict[int, float] = {}
-        self.fragment_metrics: dict[int, ExecutionMetrics] = {
-            f.index: ExecutionMetrics() for f in self.dag.fragments
-        }
+        #: The run's metrics: fragments are computed one after another,
+        #: so their executors append operator records in fragment order.
+        self.metrics = ExecutionMetrics()
+        #: Operators each computed fragment evaluated.
+        self.operators_run: dict[int, int] = {}
         #: Simulated instant each fragment's computation is available at
         #: its site (compute is free on the simulated clock).
         self.ready: dict[int, float] = {}
@@ -362,8 +359,7 @@ class _ChaosRun:
         self._scan_reads: dict[int, tuple[ScanRead, ...]] = {}
         #: Sites a fragment has already failed at (never retried).
         self._excluded: dict[int, set[str]] = {}
-        #: Trace recorder resolved once on the coordinator thread (the
-        #: pool's worker threads never emit).  ``None`` when disabled.
+        #: Trace recorder resolved once per run.  ``None`` when disabled.
         self.recorder = current_recorder()
         #: Encoded payload descriptor per producer fragment index.  A
         #: payload depends only on the fragment's logical content and
@@ -372,8 +368,6 @@ class _ChaosRun:
         #: re-deliveries — but a *replica*-kind failover moves the scan
         #: itself, so :meth:`_failover` drops that fragment's entry.
         self._payload_cache: dict[int, dict] = {}
-
-    # -- worker side -----------------------------------------------------------
 
     def _compute(self, fragment: Fragment) -> tuple[RowBatch | ColumnBatch, float]:
         ship_results = {
@@ -385,71 +379,41 @@ class _ChaosRun:
         executor = _FRAGMENT_EXECUTORS[self.scheduler.executor](
             self.scheduler.database,
             self.scheduler.network,
-            self.fragment_metrics[fragment.index],
+            self.metrics,
             ship_results,
         )
+        before = self.metrics.operators_executed
         start = time.perf_counter()
         out = executor.run_fragment(fragment.root)
-        return out, time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        self.operators_run[fragment.index] = self.metrics.operators_executed - before
+        return out, seconds
 
-    # -- coordinator: scheduling loop ------------------------------------------
+    # -- scheduling loop ---------------------------------------------------------
 
     def execute(self) -> None:
-        """Run every fragment, producers before consumers, overlapping
-        independent fragments on the pool.  Admission (the simulated
-        fault/recovery bookkeeping) happens just before submission; a
-        genuine operator failure cancels all pending sibling futures and
-        re-raises; an unrecoverable injected fault cancels them and
-        records a :class:`PartialFailure` instead."""
-        waiting_on = {f.index: len(f.inputs) for f in self.dag.fragments}
-        futures: dict[Future, int] = {}
-
-        def submit(pool: ThreadPoolExecutor, index: int) -> bool:
-            """Admit + submit one fragment; False aborts the run."""
+        """Run every fragment on the calling thread in the DAG's
+        topological order (producers first, the result fragment last).
+        Each fragment is admitted — its simulated start fixed, faults
+        absorbed by retry and failover — and then computed.  An
+        unrecoverable injected fault records a :class:`PartialFailure`
+        and stops the run; a genuine operator failure propagates, so no
+        later fragment runs."""
+        for index in range(len(self.dag.fragments)):
             try:
                 self._admit(index)
             except FaultError as error:
-                fragment = self.dag.fragments[index]
                 self.failure = PartialFailure(
                     fragment_index=index,
-                    location=fragment.location,
+                    location=self.dag.fragments[index].location,
                     error_type=type(error).__name__,
                     message=str(error),
                     at_seconds=error.at or 0.0,
                 )
-                return False
-            futures[pool.submit(self._compute, self.dag.fragments[index])] = index
-            return True
+                return
+            self.results[index] = self._compute(self.dag.fragments[index])
 
-        with ThreadPoolExecutor(max_workers=self.scheduler.max_workers) as pool:
-            try:
-                for fragment in self.dag.fragments:
-                    if not fragment.inputs:
-                        if not submit(pool, fragment.index):
-                            return
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    ready: list[int] = []
-                    for future in done:
-                        index = futures.pop(future)
-                        self.results[index] = future.result()  # re-raises bugs
-                        consumer = self.dag.fragments[index].consumer
-                        if consumer is not None:
-                            waiting_on[consumer] -= 1
-                            if waiting_on[consumer] == 0:
-                                ready.append(consumer)
-                    for index in ready:
-                        if not submit(pool, index):
-                            return
-            finally:
-                # On any abort — operator bug or unrecoverable fault —
-                # cancel queued siblings instead of letting them run to
-                # completion during pool shutdown; in-flight ones are
-                # joined by the pool's __exit__.
-                for future in futures:
-                    future.cancel()
-
-    # -- coordinator: simulated admission with faults ---------------------------
+    # -- simulated admission with faults ----------------------------------------
 
     def _admit(self, index: int) -> None:
         """Fix fragment ``index``'s simulated start: deliver every input
@@ -576,8 +540,7 @@ class _ChaosRun:
         """Cooperative load shedding: once the simulated clock passes
         the query's (absolute) deadline, admitting more fragments is
         wasted work the caller no longer wants.  The raise propagates
-        through the scheduling loop, whose shutdown path cancels every
-        pending sibling future.
+        out of the scheduling loop, so no later fragment runs.
 
         Checked only *before* a fragment commits new WAN work (its
         admission ``base``): if the deadline passes while a fragment's
@@ -600,7 +563,7 @@ class _ChaosRun:
             f"no producer of f{fragment.index} at {site!r}"
         )
 
-    # -- coordinator: runtime freshness ------------------------------------------
+    # -- runtime freshness ------------------------------------------------------
 
     def _freshness_gate(self, index: int, start: float) -> tuple[str, float]:
         """Re-check replica staleness for fragment ``index`` at its
@@ -929,12 +892,11 @@ class _ChaosRun:
         at: float,
         seconds: float | None = None,
     ) -> None:
-        """Emit one attempt event (coordinator thread only): a
-        payload-less chunk event when ``chunk`` is given, else a ship
-        event carrying the producer's payload descriptor.  The emission
-        *order* across independent fragments is racy, so the event is
-        marked unstable and the recorder orders it by its simulated
-        instant instead."""
+        """Emit one attempt event: a payload-less chunk event when
+        ``chunk`` is given, else a ship event carrying the producer's
+        payload descriptor.  Like every scheduler event it is emitted
+        with ``stable=False``: the recorder orders it by its simulated
+        instant and content, not by the order fragments are visited."""
         if self.recorder is None:
             return
         if chunk is not None:
@@ -1120,13 +1082,12 @@ class _ChaosRun:
     # -- accounting -------------------------------------------------------------
 
     def account(self) -> ExecutionMetrics:
-        """Assemble plan-level metrics from the per-fragment pieces and
-        the simulated timeline (deterministic fragment order)."""
-        merged = ExecutionMetrics()
+        """Complete the run's metrics with the ship records and the
+        simulated timeline, in fragment order."""
+        merged = self.metrics
         site_clock: dict[str, float] = {}
         for fragment in self.dag.fragments:
             index = fragment.index
-            merged.absorb(self.fragment_metrics[index])
             record = self.ship_records.get(index)
             if record is not None:
                 merged.ships.append(record)
@@ -1143,7 +1104,7 @@ class _ChaosRun:
                     index=index,
                     location=fragment.location,
                     root=fragment.root.describe(),
-                    operators=self.fragment_metrics[index].operators_executed,
+                    operators=self.operators_run[index],
                     rows_out=batch.nrows,
                     compute_seconds=compute,
                     sim_start_seconds=start,

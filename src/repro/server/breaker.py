@@ -34,7 +34,7 @@ The classic three-state machine:
 **Purity invariant** (locked down by the hypothesis suite in
 ``tests/server/test_breaker_property.py``): the state at any instant is
 a pure function of the *time-ordered* event history and the clock —
-never of wall-clock time, recording order, or thread scheduling.  The
+never of wall-clock time or recording order.  The
 breaker therefore stores timestamped events and *replays* them on every
 query, so events recorded out of order (queries overlap on the
 simulated clock but execute one after another in the server's event
@@ -189,9 +189,9 @@ class BreakerRegistry:
     server runs.  Implements the network layer's
     :class:`~repro.geo.LinkGovernor` protocol.
 
-    All calls happen on the server's single-threaded event loop (the
-    fragment scheduler performs transfers on its coordinator thread),
-    so no locking is needed; see ``docs/ROBUSTNESS.md`` §7.
+    All calls happen on the caller's thread (the server's event loop
+    runs the fragment scheduler, which simulates every transfer), so no
+    locking is needed; see ``docs/ROBUSTNESS.md`` §7.
     """
 
     def __init__(self, config: BreakerConfig | None = None) -> None:

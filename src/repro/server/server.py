@@ -9,8 +9,8 @@ through a deterministic discrete-event loop:
   (``FragmentScheduler.run(plan, start_at=t)``), so fault windows,
   breaker states, and deadlines are all consulted at global times and
   service windows of concurrent queries genuinely overlap on the
-  simulated timeline.  (Fragments of each query still execute on a real
-  thread pool; it is only the *WAN* that is simulated.)
+  simulated timeline.  (Each query's fragments are computed one after
+  another on the calling thread; only the *WAN* is simulated.)
 * **Admission control.**  At most ``concurrency`` queries are in
   service at once; waiting requests sit in a bounded priority queue
   (``queue_depth``); per-site in-flight fragment limits
@@ -21,8 +21,8 @@ through a deterministic discrete-event loop:
 * **Deadline-based load shedding.**  A queued request whose deadline
   passes before dispatch is shed without running; a running query is
   cancelled cooperatively at the next fragment-admission boundary (the
-  scheduler raises :class:`~repro.errors.DeadlineExceeded` and its
-  shutdown path cancels pending sibling futures).
+  scheduler raises :class:`~repro.errors.DeadlineExceeded` before
+  admitting another fragment).
 * **Per-link circuit breakers.**  With a
   :class:`~repro.server.BreakerRegistry`, every transfer outcome of
   every query feeds the link's breaker; an open breaker fast-fails

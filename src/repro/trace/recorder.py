@@ -7,25 +7,22 @@ read.  When no recorder is installed every site's hook is one
 ``None``-check; no event object is ever built, which is what keeps the
 disabled path effectively free (the overhead benchmark pins this down).
 
-Worker threads of the fragment scheduler do **not** inherit the context
-variable, and by design never need to: fragment bodies resolve cut SHIP
-leaves from already-computed results without emitting, so all emission
-happens on the single coordinator/caller thread and the recorder needs
-no locking.
+Everything emits on the caller's thread — the fragment scheduler runs
+fragments one after another — so the recorder needs no locking.
 
-Determinism
------------
-``wait(..., FIRST_COMPLETED)`` makes the *emission* order of events
-from independent fragments nondeterministic across runs.  Events are
-therefore ordered at serialization time by a deterministic key —
-``(query, at, kind-rank, emission-ordinal, canonical JSON)`` — where
-the emission ordinal participates only for events emitted from
-deterministic single-threaded code paths (sequential executors, the
-optimizer, the server loop); scheduler-side events opt out
-(``stable=False``) and fall back to their simulated instants with the
-canonical JSON line as the final tiebreak.  Together with the
-simulated-clock-only timestamps this makes a trace byte-identical
-across runs of the same query, seed, and executor.
+Canonical order
+---------------
+A trace is serialized in a canonical order, not in emission order:
+``(query, at, kind-rank, emission-ordinal, canonical JSON)``.  The
+emission ordinal breaks ties only for events whose emission order
+carries meaning (the optimizer's placements, the sequential
+executors, the server loop); fragment-scheduler events opt out
+(``stable=False``) and tie-break on their canonical JSON line.  A
+scheduler event is thus placed by its simulated instant and content
+alone, so a trace is a function of the simulated schedule and not of
+the order the scheduler happens to compute fragments in.  Together
+with the simulated-clock-only timestamps this makes a trace
+byte-identical across runs of the same query, seed, and executor.
 """
 
 from __future__ import annotations
@@ -52,9 +49,8 @@ from .events import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..optimizer.compliant import OptimizationResult
 
-#: Emission-ordinal stand-in for events whose emission order is not
-#: deterministic (scheduler coordinator): larger than any real ordinal,
-#: so ties fall through to the canonical-JSON key.
+#: Emission-ordinal stand-in for fragment-scheduler events: larger than
+#: any real ordinal, so ties fall through to the canonical-JSON key.
 _UNORDERED = 1 << 60
 
 _ACTIVE: ContextVar["TraceRecorder | None"] = ContextVar(
@@ -95,8 +91,9 @@ class TraceRecorder:
 
     def emit(self, event: TraceEvent, stable: bool = True) -> None:
         """Record ``event``; fills in the current query id.  ``stable``
-        marks the emission order itself as deterministic (single-threaded
-        code path) and usable as an ordering key."""
+        makes the emission order a tie-break of the canonical order;
+        fragment-scheduler events pass ``False`` (see the module
+        docstring)."""
         if not event.query:
             event.query = self.current_query
         self._entries.append((event, len(self._entries) if stable else _UNORDERED))

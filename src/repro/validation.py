@@ -6,8 +6,8 @@ fragment timeouts, and the query server's ``--concurrency`` /
 helpers, so an out-of-range value always fails with the same typed
 :class:`~repro.errors.InvalidParameterError` and the same message shape
 ("<name> must be ..., got <value>") instead of an opaque crash deep
-inside :class:`~concurrent.futures.ThreadPoolExecutor`, a bare
-``argparse`` type error, or a silently-accepted nonsense value.
+inside a layer, a bare ``argparse`` type error, or a silently-accepted
+nonsense value.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
-"""Fragment scheduler: parallel execution equivalence and the simulated
-makespan (critical-path response time) invariants."""
+"""Fragment scheduler: parallel execution equivalence, the simulated
+makespan (critical-path response time) invariants, and the one fixed
+execution order (topological, on the calling thread)."""
 
-import time
+import threading
 
 import pytest
 
@@ -11,8 +12,10 @@ from repro.errors import ComplianceViolationError, ExecutionError
 from repro.execution import (
     ExecutionEngine,
     FragmentScheduler,
+    parse_fault_spec,
     reference_plan,
 )
+from repro.execution.scheduler import _ChaosRun
 from repro.geo import GeoDatabase, NetworkModel
 from repro.plan import NestedLoopJoin, Ship, UnionAll
 from repro.policy import PolicyCatalog, PolicyEvaluator
@@ -93,6 +96,11 @@ def bushy_join(catalog):
 
 def chain_plan(catalog):
     return ship(ship(scan(catalog, "emp", "L1"), "L1", "L2"), "L2", "L3")
+
+
+def union_of_scans(catalog, n):
+    parts = tuple(ship(scan(catalog, "emp", "L1"), "L1", "L3") for _ in range(n))
+    return UnionAll(fields=parts[0].fields, location="L3", inputs=parts)
 
 
 class TestEquivalence:
@@ -254,26 +262,84 @@ class TestWorkerValidation:
         with pytest.raises(ExecutionError, match="positive integer"):
             ExecutionEngine(db, network, parallel=True, max_workers=bad)
 
-    def test_default_and_explicit_counts_resolve(self, world):
-        _catalog, db, network = world
-        assert FragmentScheduler(db, network).max_workers >= 1
-        assert FragmentScheduler(db, network, max_workers=3).max_workers == 3
+    def test_worker_count_has_no_effect(self, world):
+        """A valid count is accepted from existing call sites and
+        changes nothing: same rows, same simulated schedule."""
+        catalog, db, network = world
+        runs = [
+            FragmentScheduler(db, network, max_workers=workers).run(
+                bushy_join(catalog)
+            )
+            for workers in (None, 1, 3)
+        ]
+        (_, rows), metrics = runs[0]
+        for (_, other_rows), other in runs[1:]:
+            assert other_rows == rows
+            assert other.makespan_seconds == metrics.makespan_seconds
+            assert [
+                (f.index, f.sim_start_seconds, f.sim_finish_seconds)
+                for f in other.fragments
+            ] == [
+                (f.index, f.sim_start_seconds, f.sim_finish_seconds)
+                for f in metrics.fragments
+            ]
+
+
+class TestFixedOrder:
+    """Fragments run one after another on the calling thread, in the
+    DAG's topological order — so which fragments ran before an abort
+    is a fact of the plan, not of a race."""
+
+    def _record_compute(self, monkeypatch):
+        computed: list[tuple[int, int]] = []
+        original = _ChaosRun._compute
+
+        def recording(run, fragment):
+            computed.append((fragment.index, threading.get_ident()))
+            return original(run, fragment)
+
+        monkeypatch.setattr(_ChaosRun, "_compute", recording)
+        return computed
+
+    def test_fragments_run_in_topological_order_on_the_caller(
+        self, world, monkeypatch
+    ):
+        catalog, db, network = world
+        computed = self._record_compute(monkeypatch)
+        plan = union_of_scans(catalog, 4)
+        (_, rows), metrics = FragmentScheduler(db, network).run(plan)
+        assert len(rows) == 80
+        count = len(metrics.fragments)
+        assert [index for index, _ in computed] == list(range(count))
+        assert {thread for _, thread in computed} == {threading.get_ident()}
+
+    def test_partial_failure_stops_before_later_fragments(
+        self, world, monkeypatch
+    ):
+        """f1 (the dept scan at L2) cannot be admitted on a crashed L2
+        and scans cannot move: exactly f0 ran, every time."""
+        catalog, db, network = world
+        computed = self._record_compute(monkeypatch)
+        for _ in range(3):
+            computed.clear()
+            scheduler = FragmentScheduler(
+                db, network, faults=parse_fault_spec("crash:L2@0")
+            )
+            (_, rows), metrics = scheduler.run(bushy_join(catalog))
+            assert rows == []
+            assert metrics.partial_failure.fragment_index == 1
+            assert [f.index for f in metrics.fragments] == [0]
+            assert [index for index, _ in computed] == [0]
 
 
 class TestErrorPropagation:
     """A genuine operator failure (not an injected fault) must surface
-    unchanged, cancel pending sibling fragments, and leave the scheduler
-    reusable — never deadlock the waiting_on accounting."""
-
-    def _union_of_scans(self, catalog, n):
-        parts = tuple(
-            ship(scan(catalog, "emp", "L1"), "L1", "L3") for _ in range(n)
-        )
-        return UnionAll(fields=parts[0].fields, location="L3", inputs=parts)
+    unchanged, stop the run before any later fragment, and leave the
+    scheduler reusable."""
 
     def test_original_exception_propagates_and_siblings_cancel(self, world):
         catalog, db, network = world
-        plan = self._union_of_scans(catalog, 6)
+        plan = union_of_scans(catalog, 6)
         calls = []
         original_rows = db.rows
 
@@ -281,7 +347,6 @@ class TestErrorPropagation:
             calls.append(table)
             if len(calls) == 1:
                 raise RuntimeError("boom")  # a genuine bug, not a FaultError
-            time.sleep(0.05)  # keep siblings queued while the abort runs
             return original_rows(database, table)
 
         db.rows = instrumented_rows
@@ -291,10 +356,8 @@ class TestErrorPropagation:
                 scheduler.run(plan)
         finally:
             db.rows = original_rows
-        # The failing fragment ran; the queued siblings were cancelled
-        # (at most one may have been grabbed by the worker in the race
-        # between its completion callback and the coordinator's abort).
-        assert 1 <= len(calls) <= 2
+        # The failing fragment (f0) ran; none of its five siblings did.
+        assert len(calls) == 1
 
     def test_scheduler_usable_after_failure(self, world):
         catalog, db, network = world

@@ -1,15 +1,16 @@
 """Trace determinism: the recorder's JSONL serialization is a pure
 function of (query, policies, seed, executor) — byte-identical across
-runs, even though the fragment scheduler completes transfers in
-nondeterministic ``FIRST_COMPLETED`` order and the server runs queries
-on a thread pool.
+runs.  The fragment scheduler computes fragments one after another in
+topological order and the server executes queries in dispatch order,
+so even the *emission* order of events repeats exactly.
 
 Determinism is what makes traces diffable (CI can compare a trace
 against a golden file) and what lets the auditor's verdict be
 reproduced exactly from a stored artifact.  It holds because events
-carry only simulated-clock timestamps (never wall-clock), serialization
-sorts canonically, and scheduler-emitted events are explicitly marked
-order-unstable so their tie-break is content-based.
+carry only simulated-clock timestamps (never wall-clock), everything
+runs on the caller's thread in a fixed order, and serialization sorts
+canonically (scheduler events tie-break on content, so the bytes
+depend on the simulated schedule alone).
 """
 
 from __future__ import annotations
@@ -23,7 +24,21 @@ from repro.tpch import QUERIES, curated_policies
 from repro.trace import TraceRecorder, parse_trace, tracing
 
 
-def _traced_engine_run(tpch_small, tpch_network, executor, parallel, fault_seed):
+class _EmissionLog(TraceRecorder):
+    """A recorder that also keeps every event in emission order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.emitted: list[dict] = []
+
+    def emit(self, event, stable: bool = True) -> None:
+        super().emit(event, stable)
+        self.emitted.append(event.to_dict())
+
+
+def _traced_engine_run(
+    tpch_small, tpch_network, executor, parallel, fault_seed, recorder=None
+):
     """One full optimize + execute pass under a fresh recorder."""
     catalog, database = tpch_small
     optimizer = CompliantOptimizer(
@@ -43,7 +58,7 @@ def _traced_engine_run(tpch_small, tpch_network, executor, parallel, fault_seed)
         faults=faults,
         retry_policy=RetryPolicy(max_retries=6) if faults else None,
     )
-    recorder = TraceRecorder()
+    recorder = TraceRecorder() if recorder is None else recorder
     with tracing(recorder):
         plan = optimizer.optimize(QUERIES["Q5"]).plan
         engine.execute(plan)
@@ -71,6 +86,19 @@ def test_engine_trace_is_byte_identical(
     assert events, "trace must not be empty"
     kinds = {event.kind for event in events}
     assert {"query_start", "optimized", "ship", "query_end"} <= kinds
+
+
+@pytest.mark.parametrize("executor", ["row", "batch"])
+def test_faulted_emission_order_repeats(tpch_small, tpch_network, executor):
+    """Not only the canonical serialization: the order the scheduler
+    emits events in is itself identical across runs."""
+    logs = []
+    for _ in range(2):
+        log = _EmissionLog()
+        _traced_engine_run(tpch_small, tpch_network, executor, True, 11, log)
+        logs.append(log.emitted)
+    assert logs[0] == logs[1]
+    assert any(event["kind"] == "ship" and event["at"] > 0 for event in logs[0])
 
 
 def _traced_server_run(tpch_small, tpch_network):
