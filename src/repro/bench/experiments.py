@@ -509,163 +509,3 @@ def scalability_policy_locations(
         points.append((n, timing, result.phase2_seconds * 1000.0))
     return LocationScalability(query_name, points)
 
-
-# ---------------------------------------------------------------------------
-# Chaos recovery — makespan inflation under injected WAN faults
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChaosRow:
-    """One (query, fault seed) execution under injected faults."""
-
-    query: str
-    seed: int
-    faults: str
-    rows_match: bool
-    transfers: int
-    attempts: int
-    retry_wait_seconds: float
-    baseline_makespan: float
-    faulted_makespan: float
-    recoveries: int
-    validated_recoveries: int
-    partial_failure: str | None
-
-    @property
-    def inflation(self) -> float:
-        """Faulted / fault-free makespan (1.0 = the faults cost nothing)."""
-        return scaled(self.faulted_makespan, self.baseline_makespan)
-
-
-@dataclass
-class ChaosResult:
-    set_name: str
-    transient_only: bool
-    rows: list[ChaosRow]
-
-    def table(self) -> str:
-        out = []
-        for row in self.rows:
-            outcome = (
-                "rows ok"
-                if row.rows_match
-                else f"PARTIAL: {row.partial_failure}"
-                if row.partial_failure
-                else "ROWS DIFFER"
-            )
-            out.append(
-                [
-                    row.query,
-                    row.seed,
-                    f"{row.attempts}/{row.transfers}",
-                    f"{row.retry_wait_seconds:.3f}",
-                    f"{row.baseline_makespan:.3f}",
-                    f"{row.faulted_makespan:.3f}",
-                    f"{row.inflation:.2f}x",
-                    f"{row.validated_recoveries}/{row.recoveries}",
-                    outcome,
-                ]
-            )
-        mode = "transient faults" if self.transient_only else "incl. site crashes"
-        return format_table(
-            [
-                "query",
-                "seed",
-                "attempts/transfers",
-                "retry wait [s]",
-                "fault-free makespan [s]",
-                "faulted makespan [s]",
-                "inflation",
-                "validated/failovers",
-                "outcome",
-            ],
-            out,
-            title=(
-                f"Chaos recovery — set {self.set_name}, {mode}; inflation = "
-                "faulted / fault-free critical-path makespan (retry backoff, "
-                "slow links, and failover re-deliveries included)"
-            ),
-        )
-
-
-def chaos_recovery(
-    set_name: str = "CR+A",
-    scale: float = 0.01,
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    query_names: tuple[str, ...] = DEFAULT_QUERY_NAMES,
-    transient_only: bool = True,
-    max_retries: int = 6,
-) -> ChaosResult:
-    """Execute every query fault-free, then once per fault seed, and
-    report the makespan inflation the faults caused.
-
-    Seeded fault plans draw their link events from the (source, target)
-    pairs the fault-free run actually shipped over, so most runs hit at
-    least one live transfer.  With ``transient_only`` (default) every
-    faulted run must be row-identical to the fault-free run — the chaos
-    *equivalence* property; with crashes included, runs either recover
-    through validated ℰ-restricted failover (still row-identical) or
-    degrade to a typed partial failure."""
-    from ..execution import FaultPlan, RetryPolicy
-
-    catalog, database = build_benchmark(scale=scale, stats_scale=1.0)
-    network = default_network()
-    policies = curated_policies(catalog, set_name)
-    compliant = CompliantOptimizer(catalog, policies, network)
-    baseline = ExecutionEngine(database, network, parallel=True)
-
-    from ..optimizer.compliant import _strip_sort
-
-    binder = Binder(catalog)
-    rows: list[ChaosRow] = []
-    for name in query_names:
-        core, _sort = _strip_sort(binder.bind_sql(QUERIES[name]))
-        plan = compliant.optimize(core).plan
-        base_run = baseline.execute(plan)
-        base_rows = sorted(base_run.rows)
-        pairs = [
-            (s.source, s.target)
-            for s in base_run.metrics.ships
-            if s.source != s.target
-        ]
-        for seed in seeds:
-            faults = FaultPlan.random(
-                seed,
-                catalog.locations,
-                transient_only=transient_only,
-                pairs=pairs,
-            )
-            engine = ExecutionEngine(
-                database,
-                network,
-                policy_guard=compliant.evaluator,
-                parallel=True,
-                faults=faults,
-                retry_policy=RetryPolicy(max_retries=max_retries),
-            )
-            run = engine.execute(plan)
-            metrics = run.metrics
-            rows.append(
-                ChaosRow(
-                    query=name,
-                    seed=seed,
-                    faults=str(faults),
-                    rows_match=sorted(run.rows) == base_rows,
-                    transfers=len(metrics.ships),
-                    attempts=metrics.transfer_attempts,
-                    retry_wait_seconds=metrics.retry_wait_seconds,
-                    baseline_makespan=base_run.makespan_seconds,
-                    faulted_makespan=run.makespan_seconds,
-                    recoveries=len(metrics.recoveries),
-                    validated_recoveries=sum(
-                        1 for r in metrics.recoveries if r.validated
-                    ),
-                    partial_failure=(
-                        str(run.partial_failure)
-                        if run.partial_failure is not None
-                        else None
-                    ),
-                )
-            )
-    return ChaosResult(set_name, transient_only, rows)

@@ -150,6 +150,17 @@ def _build_ship(args: argparse.Namespace) -> ShipConfig:
     return ShipConfig(chunk_rows=chunk_rows, compression=args.ship_compression)
 
 
+def _retry_policy(args: argparse.Namespace) -> RetryPolicy | None:
+    """Build the retry policy from ``--retries`` / ``--fragment-timeout``
+    (``None`` when neither was given: the engine's default policy)."""
+    if args.retries is None and args.fragment_timeout is None:
+        return None
+    return RetryPolicy(
+        max_retries=RetryPolicy().max_retries if args.retries is None else args.retries,
+        fragment_timeout=args.fragment_timeout,
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -225,6 +236,58 @@ def _build_parser() -> argparse.ArgumentParser:
             "plain (billed bytes = logical bytes)",
         )
 
+    def add_execution(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--scale", type=float, default=0.005, help="TPC-H data scale (default 0.005)"
+        )
+        p.add_argument(
+            "--executor",
+            default="row",
+            choices=["row", "batch"],
+            help="operator backend: tuple-at-a-time 'row' (default) or the "
+            "columnar 'batch' executor with compiled batch kernels "
+            "(row-identical results; see docs/EXECUTION.md)",
+        )
+        p.add_argument(
+            "--faults",
+            default=None,
+            metavar="SPEC",
+            help="inject WAN faults (run: implies --parallel); ';'-separated events: "
+            "crash:SITE@T, drop:SRC->DST@T[+DUR], slow:SRC->DST@T[+DUR]xFACTOR, "
+            "flaky:SRC->DST@T+DUR, random:SEED",
+        )
+        p.add_argument(
+            "--retries",
+            type=int,
+            default=None,
+            metavar="N",
+            help="max retries per transfer under --faults (default 3)",
+        )
+        p.add_argument(
+            "--fragment-timeout",
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help="cap each fragment's input-delivery span on the simulated "
+            "clock; exceeding it triggers failover (default: no cap)",
+        )
+        p.add_argument(
+            "--trace",
+            default=None,
+            metavar="FILE",
+            help="record optimizer decisions, admission decisions and every "
+            "SHIP attempt as deterministic JSONL to FILE (audit it with "
+            "'repro audit FILE')",
+        )
+        p.add_argument(
+            "--plan-cache",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="cache optimized plans keyed by (query shape, parameter "
+            "signature, policy version); repeated templates skip both "
+            "optimizer phases (default: on; --no-plan-cache disables)",
+        )
+
     explain = sub.add_parser("explain", help="optimize and print the plan")
     add_common(explain)
     add_replicas(explain)
@@ -243,9 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_replicas(run)
     add_freshness(run)
     add_ship(run)
-    run.add_argument(
-        "--scale", type=float, default=0.005, help="TPC-H data scale (default 0.005)"
-    )
+    add_execution(run)
     run.add_argument(
         "--result-location", default=None, help="deliver the result to this location"
     )
@@ -258,56 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "shipping-time sum",
     )
     run.add_argument(
-        "--executor",
-        default="row",
-        choices=["row", "batch"],
-        help="operator backend: tuple-at-a-time 'row' (default) or the "
-        "columnar 'batch' executor with compiled batch kernels "
-        "(row-identical results; see docs/EXECUTION.md)",
-    )
-    run.add_argument(
         "--explain-fragments",
         action="store_true",
         help="print the per-site fragment DAG (and, with --parallel, "
         "per-fragment simulated timings) before the rows",
-    )
-    run.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="inject WAN faults (implies --parallel); ';'-separated events: "
-        "crash:SITE@T, drop:SRC->DST@T[+DUR], slow:SRC->DST@T[+DUR]xFACTOR, "
-        "flaky:SRC->DST@T+DUR, random:SEED",
-    )
-    run.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max retries per transfer under --faults (default 3)",
-    )
-    run.add_argument(
-        "--fragment-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="cap each fragment's input-delivery span on the simulated "
-        "clock; exceeding it triggers failover (default: no cap)",
-    )
-    run.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="record optimizer decisions and every SHIP attempt as "
-        "deterministic JSONL to FILE (audit it with 'repro audit FILE')",
-    )
-    run.add_argument(
-        "--plan-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="cache optimized plans keyed by (query shape, parameter "
-        "signature, policy version); repeated templates skip both "
-        "optimizer phases (default: on; --no-plan-cache disables)",
     )
 
     serve = sub.add_parser(
@@ -320,19 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON workload file: a list of requests with query/arrival/"
         "deadline/priority fields (query = SQL or Q2..Q10)",
     )
-    serve.add_argument(
-        "--set",
-        dest="policy_set",
-        default="CR",
-        choices=["T", "C", "CR", "CR+A"],
-        help="curated policy-expression set (default: CR)",
-    )
+    add_common(serve, with_query=False)
     add_replicas(serve)
     add_freshness(serve)
     add_ship(serve)
-    serve.add_argument(
-        "--scale", type=float, default=0.005, help="TPC-H data scale (default 0.005)"
-    )
+    add_execution(serve)
     serve.add_argument(
         "--concurrency",
         type=int,
@@ -364,26 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "arrival; past-deadline queries are shed (default: none)",
     )
     serve.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="inject WAN faults; same grammar as 'run --faults'",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max retries per transfer under --faults (default 3)",
-    )
-    serve.add_argument(
-        "--fragment-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="cap each fragment's input-delivery span (default: no cap)",
-    )
-    serve.add_argument(
         "--breaker-threshold",
         type=float,
         default=0.5,
@@ -405,27 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable circuit breakers (every transfer retries even on "
         "a link that keeps failing)",
     )
-    serve.add_argument(
-        "--executor",
-        default="row",
-        choices=["row", "batch"],
-        help="operator backend (default: row)",
-    )
-    serve.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="record admission decisions and every SHIP attempt of the "
-        "whole workload as deterministic JSONL to FILE",
-    )
-    serve.add_argument(
-        "--plan-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="serve repeated query templates from the compliant plan "
-        "cache, skipping the optimizer on hot hits (default: on; "
-        "--no-plan-cache optimizes and guards every request afresh)",
-    )
 
     audit = sub.add_parser(
         "audit",
@@ -439,13 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="a JSONL trace file recorded with --trace, or SQL text / a "
         "named TPC-H query (Q2..Q10)",
     )
-    audit.add_argument(
-        "--set",
-        dest="policy_set",
-        default="CR",
-        choices=["T", "C", "CR", "CR+A"],
-        help="curated policy-expression set (default: CR)",
-    )
+    add_common(audit, with_query=False)
     audit.add_argument(
         "--policies",
         default=None,
@@ -534,28 +494,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(explain_fragments(fragment_plan(result.plan)))
             print()
         faults = None
-        retry_policy = None
         if args.faults is not None:
             faults = parse_fault_spec(args.faults, locations=catalog.locations)
             parallel = True  # faults live on the fragment scheduler's clock
         else:
             # Freshness checks also live on the simulated clock.
             parallel = args.parallel or freshness is not None
-        if args.retries is not None or args.fragment_timeout is not None:
-            defaults = RetryPolicy()
-            retry_policy = RetryPolicy(
-                max_retries=defaults.max_retries
-                if args.retries is None
-                else args.retries,
-                fragment_timeout=args.fragment_timeout,
-            )
         engine = ExecutionEngine(
             database,
             network,
             policy_guard=optimizer.evaluator,
             parallel=parallel,
             faults=faults,
-            retry_policy=retry_policy,
+            retry_policy=_retry_policy(args),
             executor=args.executor,
             freshness=freshness,
             ship=_build_ship(args),
@@ -660,13 +611,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.faults is not None
         else None
     )
-    retry_policy = None
-    if args.retries is not None or args.fragment_timeout is not None:
-        defaults = RetryPolicy()
-        retry_policy = RetryPolicy(
-            max_retries=defaults.max_retries if args.retries is None else args.retries,
-            fragment_timeout=args.fragment_timeout,
-        )
     breakers = None
     if not args.no_breakers:
         breakers = BreakerRegistry(
@@ -686,7 +630,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline=args.deadline,
         breakers=breakers,
         faults=faults,
-        retry_policy=retry_policy,
+        retry_policy=_retry_policy(args),
         executor=args.executor,
         freshness=freshness,
         ship=_build_ship(args),

@@ -130,9 +130,7 @@ class ExecutionEngine:
                 "simulated clock; construct the engine with parallel=True"
             )
 
-    def execute(
-        self, plan: "PhysicalPlan | Any", parallel: bool | None = None
-    ) -> ExecutionResult:
+    def execute(self, plan: "PhysicalPlan | Any") -> ExecutionResult:
         """Run ``plan``; raises :class:`ComplianceViolationError` when a
         policy guard is installed and the plan is non-compliant.
 
@@ -143,30 +141,17 @@ class ExecutionEngine:
         skipped — that is what makes a warm cache hit skip compliance
         machinery end to end without weakening the guard for any other
         plan source.
-
-        ``parallel`` overrides the engine-level default for one call.
         """
         plan = guarded_plan(plan, self.policy_guard, "execute")
-        use_parallel = self.parallel if parallel is None else parallel
-        if self.faults and not use_parallel:
-            raise ExecutionError(
-                "fault injection requires the fragment scheduler; pass "
-                "parallel=True"
-            )
-        if self.freshness is not None and not use_parallel:
-            raise ExecutionError(
-                "runtime freshness checking runs on the fragment scheduler's "
-                "simulated clock; pass parallel=True"
-            )
         recorder = current_recorder()
         query = None
         if recorder is not None:
             query = recorder.begin_query(
-                executor=self.executor, parallel=use_parallel
+                executor=self.executor, parallel=self.parallel
             )
         start = time.perf_counter()
         try:
-            if use_parallel:
+            if self.parallel:
                 scheduler = FragmentScheduler(
                     self.database,
                     self.network,

@@ -400,7 +400,7 @@ class ComplianceAuditor:
                 stored = self.policies.catalog.stored_table(
                     node.database, node.table
                 )
-            except Exception:
+            except CatalogError:
                 continue  # table unknown to this schema; nothing to check
             if stored.location == node.location:
                 continue

@@ -23,7 +23,7 @@ from repro.execution import (
 )
 from repro.optimizer import CompliantOptimizer
 from repro.tpch import QUERIES, curated_policies
-from repro.trace import TraceRecorder, tracing
+from repro.trace import ComplianceAuditor, TraceRecorder, tracing
 
 #: Small chunks so every transfer in the 0.002-scale fixture splits.
 STREAM = ShipConfig(chunk_rows=64, compression="auto")
@@ -86,6 +86,8 @@ def test_only_undelivered_chunks_resent(world, name, spec):
     key = (name, spec)
     assert faulted.partial_failure is None, key
     assert faulted.rows == clean.rows, key
+    # Retried chunks are audited evidence too: the faulted trace is clean.
+    assert ComplianceAuditor(optimizer.policies).audit_events(faulted_events).ok, key
 
     # No chunk is double-billed: for every logical (producer, consumer,
     # target, chunk) key there is exactly one *delivered* chunk event;
@@ -153,12 +155,24 @@ def test_faults_actually_retried_chunks(world):
 def test_chunk_seconds_cover_makespan(world):
     """The per-record seconds of a chunked transfer sum *all* acked
     chunk times, so the makespan <= shipping-seconds invariant holds in
-    streaming mode, fault-free."""
+    streaming mode, fault-free.  Against monolithic transfers of the
+    same plan, first-chunk admission never lengthens the makespan (and
+    shortens at least one), and compression puts fewer bytes on the
+    wire than the logical bytes billed."""
     _catalog, database, network, optimizer = world
+    engine = ExecutionEngine(database, network, parallel=True, ship=STREAM)
+    monolithic = ExecutionEngine(database, network, parallel=True)
+    shortened = logical = wire = 0
     for name in ("Q3", "Q5", "Q10"):
         plan = optimizer.optimize(QUERIES[name]).plan
-        engine = ExecutionEngine(database, network, parallel=True, ship=STREAM)
         result = engine.execute(plan)
         assert result.metrics.makespan_seconds <= (
             result.metrics.shipping_seconds + 1e-9
         ), name
+        mono = monolithic.execute(plan).makespan_seconds
+        assert result.makespan_seconds <= mono + 1e-9, name
+        shortened += result.makespan_seconds < mono - 1e-9
+        logical += result.metrics.total_bytes_shipped
+        wire += result.metrics.total_wire_bytes_shipped
+    assert shortened > 0
+    assert wire < logical

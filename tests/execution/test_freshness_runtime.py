@@ -169,13 +169,15 @@ def test_read_stale_demotes_on_bound_violation():
 def test_bound_violation_with_no_legal_copy_is_partial_failure():
     catalog, database, network = freshness_world()
     plan = scan_plan("L2", trait=("L2", "L3"))  # primary not compliant
-    batch, metrics = run_with(
-        catalog, database, network, plan, "read-stale", bound=0.1
-    )
-    assert metrics.partial_failure is not None
-    assert metrics.partial_failure.error_type == "ReplicaStaleError"
-    assert metrics.stale_reads == 0  # the violating read was never committed
-    assert batch.rows == []
+    # Both copies are equally stale, so demoting cannot help either.
+    for mode in ("read-stale", "prefer-fresh"):
+        batch, metrics = run_with(
+            catalog, database, network, plan, mode, bound=0.1
+        )
+        assert metrics.partial_failure is not None, mode
+        assert metrics.partial_failure.error_type == "ReplicaStaleError", mode
+        assert metrics.stale_reads == 0, mode  # the violating read never committed
+        assert batch.rows == [], mode
 
 
 # -- prefer-fresh: demote whenever a fresher copy exists ----------------------

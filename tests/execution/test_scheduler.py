@@ -126,13 +126,6 @@ class TestEquivalence:
         assert p.shipping_seconds == pytest.approx(s.shipping_seconds)
         assert len(p.ships) == len(s.ships)
 
-    def test_per_call_parallel_override(self, world):
-        catalog, db, network = world
-        engine = ExecutionEngine(db, network)  # sequential default
-        result = engine.execute(bushy_join(catalog), parallel=True)
-        assert result.metrics.fragments  # the scheduler ran
-        assert result.makespan_seconds > 0
-
     def test_single_fragment_plan_works_in_parallel_mode(self, world):
         catalog, db, network = world
         result = ExecutionEngine(db, network, parallel=True).execute(

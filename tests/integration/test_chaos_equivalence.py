@@ -80,6 +80,7 @@ def test_transient_chaos_equivalence(world):
     """>= 25 seeded combos: row-identical, makespan only ever inflated."""
     catalog, _db, _network, _compliant, baselines = world
     combos = retried = inflated = 0
+    worst = 1.0
     for name, (plan, base) in baselines.items():
         for seed in SEEDS:
             faults = FaultPlan.random(
@@ -103,11 +104,14 @@ def test_transient_chaos_equivalence(world):
             inflated += (
                 result.makespan_seconds > base.makespan_seconds + 1e-9
             )
+            if base.makespan_seconds > 0:
+                worst = max(worst, result.makespan_seconds / base.makespan_seconds)
     assert combos >= 25
     # The fault plans target links the schedule actually uses, so a
     # healthy share of the combos must really have hit a fault.
     assert retried >= combos // 4
     assert inflated >= combos // 4
+    assert worst > 1.05  # and at least one costs the critical path > 5 %
 
 
 def test_critical_path_retry_inflates_makespan_exactly(world):

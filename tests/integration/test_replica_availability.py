@@ -135,11 +135,15 @@ def test_replica_free_catalog_degrades_on_the_same_sweep(replica_free):
     assert degraded > 0
 
 
-def test_replicated_plans_collapse_away_cross_border_ships(replicated):
+def test_replicated_plans_collapse_away_cross_border_ships(
+    replicated, replica_free
+):
     """With every table legally copied to a common site, placement
     collapses each plan into a single local fragment: the baseline
-    schedules use **zero** cross-site links."""
+    schedules use **zero** cross-site links, so no replicated schedule
+    is slower than its replica-free twin."""
     _, _, _, _, _, baselines = replicated
+    *_, free_baselines = replica_free
     for name, base in baselines.items():
         links = {
             (s.source, s.target)
@@ -147,6 +151,7 @@ def test_replicated_plans_collapse_away_cross_border_ships(replicated):
             if s.source != s.target
         }
         assert links == set(), name
+        assert base.makespan_seconds <= free_baselines[name].makespan_seconds, name
 
 
 def test_sustained_link_loss_spares_the_replicated_catalog(

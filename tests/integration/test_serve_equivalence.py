@@ -6,8 +6,10 @@ control, shared breaker state, and clock offsets must be invisible in
 results; they may only change *when* things happen.
 
 Also locks down the degradation contract under sustained faults: every
-non-served request carries a typed error (no hangs, no silent drops)
-and the outcome buckets reconcile to the workload size.
+non-served request carries a typed error (no hangs, no silent drops),
+every served one returns the reference rows, and the outcome buckets
+reconcile to the workload size.  Circuit breakers may only help: with
+them on, a sustained flaky link never lengthens the workload makespan.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.server import (
 from repro.tpch import QUERIES, curated_policies
 
 SERVED_QUERIES = [(name, QUERIES[name]) for name in sorted(QUERIES)]
+SUSTAINED_FLAKY = "flaky:Europe->NorthAmerica@0+1e9"
 
 
 @pytest.fixture(scope="module")
@@ -84,22 +87,22 @@ def test_row_and_batch_serving_agree(world, references):
         assert references["row"][name].rows == references["batch"][name].rows
 
 
-def test_degradation_is_typed_and_reconciles_under_faults(world):
+def serve_under_flaky_link(world, references, breakers, interarrival, **knobs):
+    """Serve two rounds of the curated queries over a permanently flaky
+    link and check the degradation contract; returns the metrics."""
     catalog, database, network, optimizer = world
     server = QueryServer(
         database,
         network,
         optimizer=optimizer,
         evaluator=optimizer.evaluator,
-        concurrency=2,
-        queue_depth=2,
-        default_deadline=0.5,
-        breakers=BreakerRegistry(),
-        faults=parse_fault_spec(
-            "flaky:Europe->NorthAmerica@0+1000", locations=catalog.locations
-        ),
+        breakers=breakers,
+        faults=parse_fault_spec(SUSTAINED_FLAKY, locations=catalog.locations),
+        **knobs,
     )
-    workload = workload_from_queries(SERVED_QUERIES, interarrival=0.01, repeat=2)
+    workload = workload_from_queries(
+        SERVED_QUERIES, interarrival=interarrival, repeat=2
+    )
     result = server.serve(workload)
     metrics = result.metrics
     assert metrics.total == len(workload)
@@ -108,7 +111,32 @@ def test_degradation_is_typed_and_reconciles_under_faults(world):
     for outcome in result.outcomes:
         if outcome.status == "served":
             assert outcome.error is None
-            assert outcome.rows is not None
+            reference = references["row"][outcome.request.name.split("#")[0]]
+            assert outcome.columns == reference.columns
+            assert outcome.rows == reference.rows
         else:
             assert isinstance(outcome.error, ReproError)
             assert str(outcome.error)  # a real message, not a bare type
+    return metrics
+
+
+def test_degradation_is_typed_and_reconciles_under_faults(world, references):
+    serve_under_flaky_link(
+        world,
+        references,
+        BreakerRegistry(),
+        interarrival=0.01,
+        concurrency=2,
+        queue_depth=2,
+        default_deadline=0.5,
+    )
+
+
+def test_breakers_never_lengthen_the_makespan(world, references):
+    """Fast-failing an open breaker never slows the workload down
+    versus burning the full retry backoff on a known-bad link."""
+    knobs = dict(interarrival=0.02, concurrency=3, queue_depth=24, default_deadline=2.0)
+    off = serve_under_flaky_link(world, references, None, **knobs)
+    on = serve_under_flaky_link(world, references, BreakerRegistry(), **knobs)
+    assert on.breaker_fast_fails > 0  # the breaker actually engaged
+    assert on.makespan_seconds <= off.makespan_seconds + 1e-9

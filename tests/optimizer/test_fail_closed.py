@@ -1,22 +1,24 @@
 """The soundness path does not swallow unexpected errors.
 
-Five ``try`` blocks around catalog lookups used to catch ``Exception``
-and answer "no violation" / "no home" / "no statistics".  The one error
-they exist for is the catalog's typed :class:`CatalogError` (unknown
-database, table or fragment); anything else is a bug or a broken
-catalog, and turning it into "compliant" would be failing open.  One
-test per site: the typed error is still absorbed, an injected
-``RuntimeError`` propagates.
+Six ``try`` blocks around catalog lookups used to catch ``Exception``
+and answer "no violation" / "no home" / "no statistics" / "nothing to
+audit".  The one error they exist for is the catalog's typed
+:class:`CatalogError` (unknown database, table or fragment); anything
+else is a bug or a broken catalog, and turning it into "compliant"
+would be failing open.  One test per site: the typed error is still
+absorbed, an injected ``RuntimeError`` propagates.
 """
 
 import pytest
 
 from repro.errors import CatalogError
-from repro.optimizer import CostModel, check_compliance, normalize
+from repro.execution import ExecutionEngine
+from repro.optimizer import CompliantOptimizer, CostModel, check_compliance, normalize
 from repro.optimizer.validator import _scan_site_violation
 from repro.plan import LogicalJoin, TableScan
 from repro.policy import PolicyEvaluator, describe_local_query
 from repro.sql import Binder
+from repro.trace import ComplianceAuditor, TraceRecorder, tracing
 
 JOIN = "SELECT C.name, O.totprice FROM customer C, orders O WHERE C.custkey = O.custkey"
 
@@ -104,3 +106,23 @@ def test_cost_foreign_key_groups(tpch_stats_catalog, monkeypatch, lookup, error)
     else:
         with pytest.raises(RuntimeError, match="boom"):
             model._foreign_key_groups([join.condition])
+
+
+@pytest.mark.parametrize("error", [CatalogError("gone"), RuntimeError("boom")])
+def test_auditor_scan_sites(carco, monkeypatch, error):
+    """The auditor's scan-site check looks up each payload scan's home."""
+    plan = CompliantOptimizer(carco.catalog, carco.policies, carco.network).optimize(
+        carco.query
+    ).plan
+    recorder = TraceRecorder()
+    with tracing(recorder):
+        ExecutionEngine(carco.database, carco.network).execute(plan)
+    auditor = ComplianceAuditor(carco.policies)
+    assert auditor.audit_events(recorder.events()).ok
+    monkeypatch.setattr(carco.catalog, "stored_table", failing(error))
+    if isinstance(error, CatalogError):
+        # Table unknown to the schema: no scan site to check.
+        assert auditor.audit_events(recorder.events()).ok
+    else:
+        with pytest.raises(RuntimeError, match="boom"):
+            auditor.audit_events(recorder.events())

@@ -115,15 +115,34 @@ def test_serve_invalid_knob_exit_code(tmp_path, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
-def test_run_writes_trace_and_audit_accepts_it(tmp_path, capsys):
-    trace = tmp_path / "q3.jsonl"
-    assert main(
-        ["run", "Q3", "--scale", "0.001", "--parallel", "--trace", str(trace)]
-    ) == 0
+@pytest.mark.parametrize(
+    "run_args, audit_args",
+    [
+        pytest.param(["Q3", "--parallel"], ["--set", "CR"], id="q3"),
+        pytest.param(
+            ["Q5", "--parallel", "--faults", "random:11", "--retries", "6"],
+            ["--set", "CR"],
+            id="random-faults",
+        ),
+        pytest.param(
+            [
+                "Q5", "--faults", "drop:Europe->NorthAmerica@0.01+0.05",
+                "--retries", "8", "--ship-chunk-rows", "32",
+            ],
+            [],
+            id="streamed-drop",
+        ),
+    ],
+)
+def test_run_writes_trace_and_audit_accepts_it(tmp_path, capsys, run_args, audit_args):
+    """Traced runs — fault-free, under seeded random faults, and streamed
+    in 32-row chunks across a dropped link — all audit clean."""
+    trace = tmp_path / "run.jsonl"
+    assert main(["run", *run_args, "--scale", "0.001", "--trace", str(trace)]) == 0
     captured = capsys.readouterr()
     assert f"-> {trace}" in captured.err
     assert trace.exists()
-    assert main(["audit", str(trace), "--set", "CR"]) == 0
+    assert main(["audit", str(trace), *audit_args]) == 0
     assert "audit: COMPLIANT" in capsys.readouterr().out
 
 

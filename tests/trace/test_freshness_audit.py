@@ -83,7 +83,7 @@ def test_auditor_bound_flags_stale_reads_plan_only_served():
     )
     report = auditor.audit_events(events)
     assert report.bound_violated == 1
-    assert any(v.category == "stale-read" for v in report.violations)
+    assert [v.category for v in report.violations] == ["stale-read"]
 
 
 def test_traced_per_query_bound_overrides_auditor_default():

@@ -15,6 +15,8 @@ depend on the simulated schedule alone).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.execution import ExecutionEngine, FaultPlan, RetryPolicy
@@ -36,10 +38,8 @@ class _EmissionLog(TraceRecorder):
         self.emitted.append(event.to_dict())
 
 
-def _traced_engine_run(
-    tpch_small, tpch_network, executor, parallel, fault_seed, recorder=None
-):
-    """One full optimize + execute pass under a fresh recorder."""
+def _engine_run(tpch_small, tpch_network, executor, parallel, fault_seed, recorder):
+    """One full optimize + execute pass, traced iff ``recorder`` is set."""
     catalog, database = tpch_small
     optimizer = CompliantOptimizer(
         catalog, curated_policies(catalog, "CR"), tpch_network
@@ -58,11 +58,18 @@ def _traced_engine_run(
         faults=faults,
         retry_policy=RetryPolicy(max_retries=6) if faults else None,
     )
-    recorder = TraceRecorder() if recorder is None else recorder
-    with tracing(recorder):
+    with tracing(recorder) if recorder is not None else nullcontext():
         plan = optimizer.optimize(QUERIES["Q5"]).plan
-        engine.execute(plan)
-    return recorder.to_jsonl()
+        return engine.execute(plan)
+
+
+def _traced_engine_run(tpch_small, tpch_network, executor, parallel, fault_seed):
+    """The JSONL trace of one pass under a fresh recorder, and its result."""
+    recorder = TraceRecorder()
+    result = _engine_run(
+        tpch_small, tpch_network, executor, parallel, fault_seed, recorder
+    )
+    return recorder.to_jsonl(), result
 
 
 @pytest.mark.parametrize("executor", ["row", "batch"])
@@ -74,10 +81,10 @@ def _traced_engine_run(
 def test_engine_trace_is_byte_identical(
     tpch_small, tpch_network, executor, parallel, fault_seed
 ):
-    first = _traced_engine_run(
+    first, traced = _traced_engine_run(
         tpch_small, tpch_network, executor, parallel, fault_seed
     )
-    second = _traced_engine_run(
+    second, _ = _traced_engine_run(
         tpch_small, tpch_network, executor, parallel, fault_seed
     )
     assert first == second
@@ -86,6 +93,12 @@ def test_engine_trace_is_byte_identical(
     assert events, "trace must not be empty"
     kinds = {event.kind for event in events}
     assert {"query_start", "optimized", "ship", "query_end"} <= kinds
+    # The recorder observes the simulation; it never perturbs it.
+    untraced = _engine_run(
+        tpch_small, tpch_network, executor, parallel, fault_seed, None
+    )
+    assert untraced.rows == traced.rows
+    assert untraced.makespan_seconds == traced.makespan_seconds
 
 
 @pytest.mark.parametrize("executor", ["row", "batch"])
@@ -95,7 +108,7 @@ def test_faulted_emission_order_repeats(tpch_small, tpch_network, executor):
     logs = []
     for _ in range(2):
         log = _EmissionLog()
-        _traced_engine_run(tpch_small, tpch_network, executor, True, 11, log)
+        _engine_run(tpch_small, tpch_network, executor, True, 11, log)
         logs.append(log.emitted)
     assert logs[0] == logs[1]
     assert any(event["kind"] == "ship" and event["at"] > 0 for event in logs[0])
@@ -138,7 +151,7 @@ def test_server_workload_trace_is_byte_identical(tpch_small, tpch_network):
 def test_trace_round_trips_through_jsonl(tpch_small, tpch_network):
     """parse(serialize(events)) reproduces the events exactly: the
     auditor sees the same data whether fed live events or a file."""
-    text = _traced_engine_run(tpch_small, tpch_network, "row", True, 11)
+    text, _ = _traced_engine_run(tpch_small, tpch_network, "row", True, 11)
     events = parse_trace(text)
     recorder = TraceRecorder()
     for event in events:
