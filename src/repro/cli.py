@@ -8,7 +8,6 @@ curated policy sets, and both optimizers:
     python -m repro explain  "SELECT ..."  [--set CR] [--traditional]
                                            [--traits] [--result-location L]
     python -m repro run      "SELECT ..."  [--set CR] [--scale 0.005]
-                                           [--parallel]
                                            [--executor {row,batch}]
                                            [--explain-fragments]
                                            [--faults SPEC] [--retries N]
@@ -48,8 +47,7 @@ replicas per-site refresh schedules on the simulated clock
 refresh faults and ``random:SEED``; grammar mirrors ``--faults``) and
 ``--staleness-policy {prefer-fresh,wait-for-refresh,read-stale,plan-only}``
 to pick how stale replicas are handled at fragment admission.  Either
-flag turns on *runtime* freshness checking (implies ``--parallel``):
-every scan-bearing admission and failover decision re-derives each
+flag turns on *runtime* freshness checking: every scan-bearing admission and failover decision re-derives each
 replica's staleness at that instant and demotes replicas violating
 ``--max-staleness``.  ``audit`` accepts the same ``--refresh`` spec and
 ``--max-staleness`` bound so the auditor can re-derive per-read
@@ -202,8 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--refresh",
             default=None,
             metavar="SPEC",
-            help="give replicas refresh schedules on the simulated clock "
-            "(implies --parallel); ';'-separated events: "
+            help="give replicas refresh schedules on the simulated clock; "
+            "';'-separated events: "
             "every:db.table@SITE@PERIOD[+PHASE], "
             "pause:db.table@SITE@T[+DUR], "
             "degrade:db.table@SITE@T[+DUR]xFACTOR, random:SEED",
@@ -213,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             choices=list(FRESHNESS_MODES),
             help="how stale replicas are handled at fragment admission "
-            "(implies --parallel; default with --refresh: prefer-fresh). "
+            "(default with --refresh: prefer-fresh). "
             "'plan-only' records staleness without enforcing the bound",
         )
 
@@ -252,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--faults",
             default=None,
             metavar="SPEC",
-            help="inject WAN faults (run: implies --parallel); ';'-separated events: "
+            help="inject WAN faults; ';'-separated events: "
             "crash:SITE@T, drop:SRC->DST@T[+DUR], slow:SRC->DST@T[+DUR]xFACTOR, "
             "flaky:SRC->DST@T+DUR, random:SEED",
         )
@@ -312,17 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--limit", type=int, default=20, help="print at most N rows")
     run.add_argument(
-        "--parallel",
-        action="store_true",
-        help="execute the plan fragment by fragment on the simulated WAN "
-        "clock and report the critical-path makespan alongside the "
-        "shipping-time sum",
-    )
-    run.add_argument(
         "--explain-fragments",
         action="store_true",
-        help="print the per-site fragment DAG (and, with --parallel, "
-        "per-fragment simulated timings) before the rows",
+        help="print the per-site fragment DAG before the rows (and "
+        "per-fragment simulated timings after them)",
     )
 
     serve = sub.add_parser(
@@ -496,15 +487,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         faults = None
         if args.faults is not None:
             faults = parse_fault_spec(args.faults, locations=catalog.locations)
-            parallel = True  # faults live on the fragment scheduler's clock
-        else:
-            # Freshness checks also live on the simulated clock.
-            parallel = args.parallel or freshness is not None
         engine = ExecutionEngine(
             database,
             network,
             policy_guard=optimizer.evaluator,
-            parallel=parallel,
             faults=faults,
             retry_policy=_retry_policy(args),
             executor=args.executor,
@@ -525,10 +511,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     summary = (
         f"\n{output.metrics.total_rows_shipped} rows / "
         f"{output.metrics.total_bytes_shipped} bytes shipped across borders "
-        f"({output.simulated_cost:.3f} s simulated transfer time)"
+        f"({output.simulated_cost:.3f} s simulated transfer time); "
+        f"{output.makespan_seconds:.3f} s simulated makespan"
     )
-    if parallel:
-        summary += f"; {output.makespan_seconds:.3f} s simulated makespan"
     wire_bytes = output.metrics.total_wire_bytes_shipped
     if wire_bytes != output.metrics.total_bytes_shipped:
         summary += (
@@ -575,7 +560,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{output.metrics.freshness_demotions} freshness demotions",
             file=sys.stderr,
         )
-    if args.explain_fragments and parallel:
+    if args.explain_fragments:
         print("\nfragment timings (simulated WAN clock):", file=sys.stderr)
         for record in output.metrics.fragments:
             print(

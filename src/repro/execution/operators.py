@@ -2,8 +2,9 @@
 
 Each operator consumes fully-materialized child results; geo-distributed
 queries in this reproduction are small enough that pipelining would only
-add complexity.  SHIP is where the geo-distribution becomes observable:
-it counts rows/bytes and charges simulated transfer time to the metrics.
+add complexity.  An executor evaluates one fragment body: its SHIP
+leaves are the cut edges the fragment scheduler has already delivered
+(and priced), handed over in ``ship_results``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 from ..errors import ExecutionError
 from ..expr import AggregateFunction, compile_expression, compile_predicate
-from ..geo import GeoDatabase, NetworkModel
+from ..geo import GeoDatabase
 from ..plan import (
     Filter,
     HashAggregate,
@@ -27,8 +28,7 @@ from ..plan import (
     UnionAll,
 )
 from .metrics import ExecutionMetrics
-from .shipping import ship_boundary
-from .wire import ShipConfig, column_nbytes, columns_of, rows_of
+from .wire import column_nbytes, columns_of
 
 Row = tuple
 Result = tuple[list[str], list[Row]]  # (column names, rows) — unpacked shape
@@ -86,27 +86,37 @@ class RowBatch:
         return self._nbytes
 
 
+def shipped_input(ship_results: dict[int, Any], node: Ship) -> Any:
+    """The delivered output of the producer behind cut SHIP leaf
+    ``node``."""
+    try:
+        return ship_results[id(node)]
+    except KeyError:
+        raise ExecutionError(
+            f"SHIP edge {node.describe()} was not delivered by the fragment "
+            f"scheduler"
+        ) from None
+
+
 class OperatorExecutor:
-    """Recursive evaluator for located physical plans.
+    """Recursive evaluator for one located fragment body.
 
     Every evaluated operator leaves an :class:`OperatorRecord` in the
     metrics (rows out plus *self* wall-clock time, children excluded) so
     fragment- and plan-level compute can be attributed precisely.
+    ``ship_results`` maps each cut SHIP leaf (by ``id``) to its
+    producer's delivered output, in either backend's layout.
     """
 
     def __init__(
         self,
         database: GeoDatabase,
-        network: NetworkModel,
         metrics: ExecutionMetrics,
-        ship: ShipConfig | None = None,
+        ship_results: dict[int, Any] | None = None,
     ) -> None:
         self.database = database
-        self.network = network
         self.metrics = metrics
-        #: Wire format for SHIP edges (``None``/default = legacy
-        #: monolithic uncompressed transfers).
-        self.ship = ship or ShipConfig()
+        self.ship_results = ship_results or {}
         self._child_seconds: list[float] = []
 
     def run(self, node: PhysicalPlan) -> RowBatch:
@@ -124,6 +134,9 @@ class OperatorExecutor:
             node.describe(), node.location, len(result.rows), elapsed - child_seconds
         )
         return result
+
+    #: A fragment body's output in this backend's own layout.
+    run_fragment = run
 
     def _dispatch(self, node: PhysicalPlan) -> Result:
         if isinstance(node, TableScan):
@@ -188,12 +201,9 @@ class OperatorExecutor:
         return columns, rows
 
     def _ship(self, node: Ship) -> RowBatch:
-        assert node.child is not None
-        batch = self.run(node.child)
-        decoded = ship_boundary(node, batch, self.network, self.metrics, self.ship)
-        if decoded is None:
-            return batch
-        return RowBatch(batch.columns, rows_of(decoded, batch.nrows))
+        # A wire-decoded producer output arrives as columns (the codec's
+        # native form); this row consumer transposes it when it reads it.
+        return shipped_input(self.ship_results, node).to_row_batch()
 
     # -- joins -----------------------------------------------------------------
 

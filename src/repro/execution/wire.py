@@ -315,7 +315,7 @@ class ShipTransfer:
     """A full logical SHIP payload in wire form.
 
     ``logical_bytes`` is the uncompressed batch size (what compliance
-    accounting and sequential/parallel byte-equivalence compare);
+    accounting and the monolithic/streamed byte-equivalence compare);
     :attr:`wire_bytes` is what actually crosses the link.  The wire
     sizes are fixed once per transfer: retries and per-chunk trace
     events read them many times.

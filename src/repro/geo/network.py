@@ -42,11 +42,10 @@ class NetworkModel:
 
     With ``strict=True`` an unmodeled pair raises a typed
     :class:`~repro.errors.UnknownLinkError` instead of substituting the
-    pessimistic default — every SHIP (the sequential executors' shared
-    ``ship_boundary`` and the scheduler's ``attempt_transfer``) is
-    priced through :meth:`link`, so a mis-deployed catalog fails
-    identically from either backend rather than surfacing as a bare
-    lookup failure somewhere downstream.
+    pessimistic default — every SHIP (the fragment scheduler's
+    ``attempt_transfer``) is priced through :meth:`link`, so a
+    mis-deployed catalog fails identically from either operator backend
+    rather than surfacing as a bare lookup failure somewhere downstream.
     """
 
     def __init__(

@@ -69,7 +69,7 @@ def test_only_undelivered_chunks_resent(world, name, spec):
     catalog, database, network, optimizer = world
     plan = optimizer.optimize(QUERIES[name]).plan
 
-    clean_engine = ExecutionEngine(database, network, parallel=True, ship=STREAM)
+    clean_engine = ExecutionEngine(database, network, ship=STREAM)
     clean, clean_events = traced_run(clean_engine, plan)
     assert clean.partial_failure is None
 
@@ -77,7 +77,6 @@ def test_only_undelivered_chunks_resent(world, name, spec):
     faulted_engine = ExecutionEngine(
         database,
         network,
-        parallel=True,
         faults=faults,
         retry_policy=RetryPolicy(max_retries=8),
         ship=STREAM,
@@ -138,7 +137,6 @@ def test_faults_actually_retried_chunks(world):
             engine = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RetryPolicy(max_retries=8),
                 ship=STREAM,
@@ -160,8 +158,8 @@ def test_chunk_seconds_cover_makespan(world):
     shortens at least one), and compression puts fewer bytes on the
     wire than the logical bytes billed."""
     _catalog, database, network, optimizer = world
-    engine = ExecutionEngine(database, network, parallel=True, ship=STREAM)
-    monolithic = ExecutionEngine(database, network, parallel=True)
+    engine = ExecutionEngine(database, network, ship=STREAM)
+    monolithic = ExecutionEngine(database, network)
     shortened = logical = wire = 0
     for name in ("Q3", "Q5", "Q10"):
         plan = optimizer.optimize(QUERIES[name]).plan

@@ -19,7 +19,7 @@ from repro.catalog import (
     TableSchema,
 )
 from repro.datatypes import DataType
-from repro.errors import ExecutionError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.expr import BaseColumn
 from repro.execution import (
     ExecutionEngine,
@@ -28,6 +28,7 @@ from repro.execution import (
     FreshnessPolicy,
     RetryPolicy,
     fragment_plan,
+    parse_fault_spec,
 )
 from repro.geo import GeoDatabase, NetworkModel
 from repro.optimizer import CompliantOptimizer
@@ -108,7 +109,7 @@ def run_with(
 
 def baseline_rows(database, network, plan):
     return rows_as_multiset(
-        ExecutionEngine(database, network, parallel=True).execute(plan).rows
+        ExecutionEngine(database, network).execute(plan).rows
     )
 
 
@@ -124,11 +125,27 @@ def test_policy_rejects_unknown_mode_and_negative_bound():
         FreshnessPolicy(tracker, max_staleness=-1.0)
 
 
-def test_engine_requires_parallel_for_freshness():
+def test_default_engine_runs_freshness_and_faults():
+    """Every engine runs on the fragment scheduler: one built with no
+    mode keyword checks freshness at admission and absorbs injected
+    faults by failover."""
     catalog, database, network = freshness_world()
-    policy = FreshnessPolicy(FreshnessTracker(catalog))
-    with pytest.raises(ExecutionError, match="parallel=True"):
-        ExecutionEngine(database, network, freshness=policy)
+    plan = scan_plan("L2")
+    policy = FreshnessPolicy(FreshnessTracker(catalog), mode="prefer-fresh")
+    result = ExecutionEngine(database, network, freshness=policy).execute(plan)
+    assert result.ok
+    assert rows_as_multiset(result.rows) == baseline_rows(database, network, plan)
+    assert result.metrics.freshness_demotions == 1
+    (record,) = result.metrics.recoveries
+    assert (record.kind, record.to_site) == ("replica", "L1")
+
+    faults = parse_fault_spec("crash:L2@0", locations=catalog.locations)
+    result = ExecutionEngine(database, network, faults=faults).execute(plan)
+    assert result.ok
+    assert rows_as_multiset(result.rows) == baseline_rows(database, network, plan)
+    (record,) = result.metrics.recoveries
+    assert (record.kind, record.from_site) == ("replica", "L2")
+    assert result.metrics.makespan_seconds > 0.0
 
 
 # -- read-stale: bounded staleness, minimum disruption ------------------------

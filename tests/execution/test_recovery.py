@@ -115,7 +115,7 @@ class TestRelocateFragment:
         plan = chain_plan()
         dag = fragment_plan(plan)
         moved = relocate_fragment(plan, dag.fragments[1], "L3")
-        engine = ExecutionEngine(db, network, parallel=True)
+        engine = ExecutionEngine(db, network)
         assert rows_as_multiset(engine.execute(moved).rows) == rows_as_multiset(
             engine.execute(plan).rows
         )
@@ -267,7 +267,6 @@ class TestFailoverDeterminism:
             engine = ExecutionEngine(
                 db,
                 network,
-                parallel=True,
                 faults=parse_fault_spec("crash:L2@0", locations=set(self.SITES)),
                 executor=executor,
             )

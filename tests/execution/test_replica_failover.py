@@ -88,13 +88,12 @@ def test_scan_site_crash_fails_over_to_compliant_replica():
     catalog, database, network, optimizer = build_world()
     plan = optimizer.optimize(QUERY).plan
     site = t_scan_site(plan)
-    baseline = ExecutionEngine(database, network, parallel=True).execute(plan)
+    baseline = ExecutionEngine(database, network).execute(plan)
 
     faults = parse_fault_spec(f"crash:{site}@0", locations=catalog.locations)
     engine = ExecutionEngine(
         database,
         network,
-        parallel=True,
         faults=faults,
         policy_guard=optimizer.evaluator,
     )
@@ -109,7 +108,8 @@ def test_scan_site_crash_fails_over_to_compliant_replica():
     assert metrics.partial_failures_avoided >= 1
     assert metrics.replica_switches_breaker == 0  # no breakers installed
     replica_recoveries = [r for r in metrics.recoveries if r.kind == "replica"]
-    assert replica_recoveries
+    assert metrics.replica_failovers == len(replica_recoveries)
+    assert metrics.freshness_demotions == 0  # a crash, not a stale read
     for record in replica_recoveries:
         assert record.validated
         assert record.from_site == site
@@ -126,7 +126,6 @@ def test_same_crash_without_replica_is_partial_failure():
     engine = ExecutionEngine(
         database,
         network,
-        parallel=True,
         faults=faults,
         policy_guard=optimizer.evaluator,
     )
@@ -198,7 +197,7 @@ def test_breaker_steered_replica_switch():
     moved = [r for r in metrics.recoveries if r.kind == "replica"]
     assert any(r.from_site == "far" and r.to_site == "near" for r in moved)
 
-    baseline = ExecutionEngine(database, network, parallel=True).execute(plan)
+    baseline = ExecutionEngine(database, network).execute(plan)
     assert rows_as_multiset(batch.rows) == rows_as_multiset(baseline.rows)
 
 

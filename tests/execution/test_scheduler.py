@@ -1,4 +1,4 @@
-"""Fragment scheduler: parallel execution equivalence, the simulated
+"""Fragment scheduler: equivalence with centralized execution, the simulated
 makespan (critical-path response time) invariants, and the one fixed
 execution order (topological, on the calling thread)."""
 
@@ -103,34 +103,40 @@ def union_of_scans(catalog, n):
     return UnionAll(fields=parts[0].fields, location="L3", inputs=parts)
 
 
+def centralized(catalog):
+    """The bushy join's query evaluated sequentially at one site: a
+    single SHIP-free fragment."""
+    return reference_plan(Binder(catalog).bind_sql("SELECT * FROM emp, dept"), "L3")
+
+
 class TestEquivalence:
     def test_bushy_join_rows_match_sequential(self, world):
         catalog, db, network = world
-        plan = bushy_join(catalog)
-        sequential = ExecutionEngine(db, network).execute(plan)
-        parallel = ExecutionEngine(db, network, parallel=True).execute(plan)
-        assert rows_as_multiset(parallel.rows) == rows_as_multiset(sequential.rows)
-        assert parallel.columns == sequential.columns
+        engine = ExecutionEngine(db, network)
+        distributed = engine.execute(bushy_join(catalog))
+        central = engine.execute(centralized(catalog))
+        assert rows_as_multiset(distributed.rows) == rows_as_multiset(central.rows)
+        assert distributed.columns == central.columns
 
     def test_metrics_totals_match_sequential(self, world):
         catalog, db, network = world
-        plan = bushy_join(catalog)
-        sequential = ExecutionEngine(db, network).execute(plan)
-        parallel = ExecutionEngine(db, network, parallel=True).execute(plan)
-        s, p = sequential.metrics, parallel.metrics
-        assert p.rows_scanned == s.rows_scanned
-        assert p.rows_output == s.rows_output
-        assert p.operators_executed == s.operators_executed
-        assert p.total_rows_shipped == s.total_rows_shipped
-        assert p.total_bytes_shipped == s.total_bytes_shipped
-        assert p.shipping_seconds == pytest.approx(s.shipping_seconds)
-        assert len(p.ships) == len(s.ships)
+        engine = ExecutionEngine(db, network)
+        p = engine.execute(bushy_join(catalog)).metrics
+        c = engine.execute(centralized(catalog)).metrics
+        assert p.rows_scanned == c.rows_scanned == 23
+        assert p.rows_output == c.rows_output == 60
+        assert c.ships == []
+        assert p.total_rows_shipped == 23
+        assert p.total_bytes_shipped == sum(s.bytes for s in p.ships)
+        # Each fault-free SHIP is billed one α + β·bytes message.
+        assert [s.seconds for s in p.ships] == [
+            network.transfer_time(s.source, s.target, s.bytes) for s in p.ships
+        ]
+        assert len(p.ships) == 2
 
     def test_single_fragment_plan_works_in_parallel_mode(self, world):
         catalog, db, network = world
-        result = ExecutionEngine(db, network, parallel=True).execute(
-            scan(catalog, "emp", "L1")
-        )
+        result = ExecutionEngine(db, network).execute(scan(catalog, "emp", "L1"))
         assert result.row_count == 20
         assert len(result.metrics.fragments) == 1
         assert result.makespan_seconds == 0.0  # no WAN edges at all
@@ -140,9 +146,7 @@ class TestEquivalence:
 class TestMakespan:
     def test_bushy_makespan_is_critical_path(self, world):
         catalog, db, network = world
-        result = ExecutionEngine(db, network, parallel=True).execute(
-            bushy_join(catalog)
-        )
+        result = ExecutionEngine(db, network).execute(bushy_join(catalog))
         metrics = result.metrics
         slow, fast = sorted(
             (s.seconds for s in metrics.ships), reverse=True
@@ -155,9 +159,7 @@ class TestMakespan:
 
     def test_chain_makespan_equals_shipping_sum(self, world):
         catalog, db, network = world
-        result = ExecutionEngine(db, network, parallel=True).execute(
-            chain_plan(catalog)
-        )
+        result = ExecutionEngine(db, network).execute(chain_plan(catalog))
         metrics = result.metrics
         assert len(metrics.ships) == 2
         assert metrics.makespan_seconds == pytest.approx(metrics.shipping_seconds)
@@ -166,7 +168,7 @@ class TestMakespan:
         catalog, db, network = world
         for plan in (bushy_join(catalog), chain_plan(catalog)):
             metrics = (
-                ExecutionEngine(db, network, parallel=True).execute(plan).metrics
+                ExecutionEngine(db, network).execute(plan).metrics
             )
             assert (
                 metrics.makespan_seconds
@@ -176,7 +178,7 @@ class TestMakespan:
     def test_site_clocks_cover_every_location(self, world):
         catalog, db, network = world
         metrics = (
-            ExecutionEngine(db, network, parallel=True)
+            ExecutionEngine(db, network)
             .execute(bushy_join(catalog))
             .metrics
         )
@@ -188,7 +190,7 @@ class TestObservability:
     def test_fragment_records(self, world):
         catalog, db, network = world
         metrics = (
-            ExecutionEngine(db, network, parallel=True)
+            ExecutionEngine(db, network)
             .execute(bushy_join(catalog))
             .metrics
         )
@@ -207,16 +209,11 @@ class TestObservability:
 
     def test_operator_records_cover_all_operators(self, world):
         catalog, db, network = world
-        for parallel in (False, True):
-            metrics = (
-                ExecutionEngine(db, network, parallel=parallel)
-                .execute(bushy_join(catalog))
-                .metrics
-            )
-            assert len(metrics.operators) == metrics.operators_executed
-            assert all(op.seconds >= 0.0 for op in metrics.operators)
-            scans = [op for op in metrics.operators if "TableScan" in op.operator]
-            assert len(scans) == 2
+        metrics = ExecutionEngine(db, network).execute(bushy_join(catalog)).metrics
+        assert len(metrics.operators) == metrics.operators_executed
+        assert all(op.seconds >= 0.0 for op in metrics.operators)
+        scans = [op for op in metrics.operators if "TableScan" in op.operator]
+        assert len(scans) == 2
 
     def test_scheduler_direct_api(self, world):
         catalog, db, network = world
@@ -234,7 +231,6 @@ class TestGuard:
             db,
             network,
             policy_guard=PolicyEvaluator(policies),
-            parallel=True,
         )
         with pytest.raises(ComplianceViolationError):
             engine.execute(bushy_join(catalog))
@@ -253,7 +249,7 @@ class TestWorkerValidation:
     def test_engine_rejects_nonpositive_worker_counts(self, world, bad):
         _catalog, db, network = world
         with pytest.raises(ExecutionError, match="positive integer"):
-            ExecutionEngine(db, network, parallel=True, max_workers=bad)
+            ExecutionEngine(db, network, max_workers=bad)
 
     def test_worker_count_has_no_effect(self, world):
         """A valid count is accepted from existing call sites and

@@ -72,10 +72,9 @@ def world():
 
 def run_both(world, sql):
     catalog, db = world
-    network = synthetic_network(["L1", "L2"])
     plan = reference_plan(Binder(catalog).bind_sql(sql))
-    row = OperatorExecutor(db, network, ExecutionMetrics()).run(plan)
-    batch = BatchOperatorExecutor(db, network, ExecutionMetrics()).run(plan)
+    row = OperatorExecutor(db, ExecutionMetrics()).run(plan)
+    batch = BatchOperatorExecutor(db, ExecutionMetrics()).run(plan)
     return row, batch
 
 
@@ -197,13 +196,12 @@ def test_sort_null_placement_and_limit(world):
 
 def test_metrics_match_row_backend(world):
     catalog, db = world
-    network = synthetic_network(["L1", "L2"])
     plan = reference_plan(
         Binder(catalog).bind_sql("SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept")
     )
     row_metrics, batch_metrics = ExecutionMetrics(), ExecutionMetrics()
-    OperatorExecutor(db, network, row_metrics).run(plan)
-    BatchOperatorExecutor(db, network, batch_metrics).run(plan)
+    OperatorExecutor(db, row_metrics).run(plan)
+    BatchOperatorExecutor(db, batch_metrics).run(plan)
     assert batch_metrics.operators_executed == row_metrics.operators_executed
     assert batch_metrics.rows_scanned == row_metrics.rows_scanned
     assert [r.rows_out for r in batch_metrics.operators] == [

@@ -321,7 +321,7 @@ def test_batch_backend_ships_columns_without_transposing(world, name, monkeypatc
 
     def engine(executor):
         return ExecutionEngine(
-            database, network, parallel=True, max_workers=2, executor=executor, ship=stream
+            database, network, max_workers=2, executor=executor, ship=stream
         )
 
     by_rows, row_transfers = _traced(engine("row"), plan)

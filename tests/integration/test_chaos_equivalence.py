@@ -20,7 +20,6 @@ Three properties, mirroring docs/ROBUSTNESS.md:
 
 import pytest
 
-from repro.errors import ExecutionError
 from repro.execution import (
     ExecutionEngine,
     FaultPlan,
@@ -51,7 +50,7 @@ def world(tpch_small, tpch_network):
     for name, sql in sorted(QUERIES.items()):
         core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
         plan = compliant.optimize(core).plan
-        result = ExecutionEngine(database, tpch_network, parallel=True).execute(plan)
+        result = ExecutionEngine(database, tpch_network).execute(plan)
         baselines[name] = (plan, result)
     return catalog, database, tpch_network, compliant, baselines
 
@@ -61,7 +60,6 @@ def faulted_engine(world, faults, policy=RETRIES):
     return ExecutionEngine(
         database,
         network,
-        parallel=True,
         faults=faults,
         retry_policy=policy,
         policy_guard=compliant.evaluator,
@@ -123,9 +121,7 @@ def test_critical_path_retry_inflates_makespan_exactly(world):
     faults = parse_fault_spec(
         f"flaky:{src}->{dst}@0+0.15", locations=catalog.locations
     )
-    result = faulted_engine(world, faults, RetryPolicy(max_retries=8)).execute(
-        plan
-    )
+    result = faulted_engine(world, faults, RetryPolicy(max_retries=8)).execute(plan)
     metrics = result.metrics
     assert rows_as_multiset(result.rows) == rows_as_multiset(base.rows)
     assert metrics.retry_wait_seconds > 0.0
@@ -145,9 +141,7 @@ def test_permanent_link_down_fails_over_around_the_link(world):
     faults = parse_fault_spec(
         f"drop:{src}->{dst}@0", locations=catalog.locations
     )
-    result = faulted_engine(world, faults, RetryPolicy(max_retries=2)).execute(
-        plan
-    )
+    result = faulted_engine(world, faults, RetryPolicy(max_retries=2)).execute(plan)
     assert result.partial_failure is None
     assert rows_as_multiset(result.rows) == rows_as_multiset(base.rows)
     assert result.metrics.recoveries
@@ -235,12 +229,3 @@ def test_fragment_timeout_degrades_typed(world):
     assert failure.error_type == "FragmentTimeoutError"
     assert "fragment timeout" in failure.message
     assert result.rows == []
-
-
-def test_faults_require_the_parallel_engine(world):
-    """The sequential reference engine has no WAN simulation to inject
-    into: configuring faults on it is a loud error, not a silent no-op."""
-    _catalog, database, network, _compliant, _baselines = world
-    faults = FaultPlan([SiteCrash("Asia", at=0.0)])
-    with pytest.raises(ExecutionError, match="parallel"):
-        ExecutionEngine(database, network, parallel=False, faults=faults)

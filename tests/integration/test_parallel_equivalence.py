@@ -1,11 +1,12 @@
-"""Executor equivalence: the fragment-parallel engine must be
-indistinguishable (row-wise) from the sequential engine and from the
-centralized reference execution, and its simulated makespan must obey
-the critical-path invariants.
+"""Executor equivalence: every engine run goes through the fragment
+scheduler, and it must be indistinguishable (row-wise) from the
+centralized reference execution, bill every SHIP exactly what the
+network model prices it at, and obey the critical-path makespan
+invariants.
 
 Three workloads:
 
-* the six curated TPC-H queries (the tier-1 integration plans), under
+* the curated TPC-H queries (the tier-1 integration plans), under
   both optimizers;
 * ``>= 50`` randomized ad-hoc TPC-H queries from
   :mod:`repro.tpch.querygen` (the paper's §7.1 generator);
@@ -38,6 +39,23 @@ from ..conftest import rows_as_multiset
 ADHOC_QUERIES = AdHocQueryGenerator(seed=1234).generate(55)
 
 
+#: Small chunk size so even the 0.002-scale test batches actually split.
+STREAM = ShipConfig(chunk_rows=64, compression="auto")
+
+
+def engine_matrix(database, network):
+    """Row and batch backends, each with monolithic and streamed +
+    compressed SHIP; the first entry is the baseline."""
+    return {
+        "row": ExecutionEngine(database, network),
+        "batch": ExecutionEngine(database, network, executor="batch"),
+        "row-stream": ExecutionEngine(database, network, ship=STREAM),
+        "batch-stream": ExecutionEngine(
+            database, network, executor="batch", ship=STREAM
+        ),
+    }
+
+
 @pytest.fixture(scope="module")
 def world(tpch_small, tpch_network):
     catalog, database = tpch_small
@@ -45,21 +63,7 @@ def world(tpch_small, tpch_network):
         catalog, curated_policies(catalog, "CR+A"), tpch_network
     )
     traditional = TraditionalOptimizer(catalog, tpch_network)
-    sequential = ExecutionEngine(database, tpch_network)
-    parallel = ExecutionEngine(database, tpch_network, parallel=True)
-    batch_sequential = ExecutionEngine(database, tpch_network, executor="batch")
-    batch_parallel = ExecutionEngine(
-        database, tpch_network, parallel=True, executor="batch"
-    )
-    return (
-        catalog,
-        compliant,
-        traditional,
-        sequential,
-        parallel,
-        batch_sequential,
-        batch_parallel,
-    )
+    return catalog, compliant, traditional, engine_matrix(database, tpch_network)
 
 
 def assert_makespan_invariants(plan, metrics):
@@ -74,123 +78,72 @@ def assert_makespan_invariants(plan, metrics):
 
 def traced_execute(engine, plan):
     """Run ``plan`` under a fresh trace recorder; return the result and
-    the trace-derived SHIP summary ``(transfer_count, total_bytes)`` over
-    delivered cross-border attempts."""
+    the trace-derived SHIP summary: the sorted ``(source, target, rows,
+    bytes)`` of every delivered cross-border transfer."""
     recorder = TraceRecorder()
     with tracing(recorder):
         result = engine.execute(plan)
-    delivered = [
-        event
+    delivered = sorted(
+        (event.source, event.target, event.rows, event.bytes)
         for event in recorder.events()
         if event.kind == "ship"
         and event.outcome == "delivered"
         and event.source != event.target
-    ]
-    return result, (len(delivered), sum(event.bytes for event in delivered))
+    )
+    return result, delivered
 
 
-#: Small chunk size so even the 0.002-scale test batches actually split.
-STREAM = ShipConfig(chunk_rows=64, compression="auto")
-
-
-def streaming_engines(database, network, full=False):
-    """Streaming+compressed engines mirroring the monolithic baseline:
-    the (row, parallel) and (batch, sequential) corners by default, the
-    full row/batch x sequential/parallel matrix with ``full=True``."""
-    combos = [("row", True), ("batch", False)]
-    if full:
-        combos += [("row", False), ("batch", True)]
-    return [
-        ExecutionEngine(
-            database, network, parallel=par, executor=backend, ship=STREAM
-        )
-        for backend, par in combos
-    ]
-
-
-def check_equivalence(
-    catalog, optimizer, sequential, parallel, sql, batch_engines=(),
-    streaming="pair",
-):
+def check_equivalence(catalog, optimizer, engines, sql):
     core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
+    baseline = next(iter(engines.values()))
     expected = rows_as_multiset(
-        sequential.execute(reference_plan(normalize(core))).rows
+        baseline.execute(reference_plan(normalize(core))).rows
     )
     plan = optimizer.optimize(core).plan
-    seq_run, seq_ships = traced_execute(sequential, plan)
-    par_run, par_ships = traced_execute(parallel, plan)
-    assert rows_as_multiset(seq_run.rows) == expected
-    assert rows_as_multiset(par_run.rows) == expected
-    assert par_run.columns == seq_run.columns
-    assert par_run.metrics.total_bytes_shipped == seq_run.metrics.total_bytes_shipped
-    assert par_run.metrics.operators_executed == seq_run.metrics.operators_executed
-    # Trace-derived transfer accounting: the sequential walker and the
-    # fragment scheduler must record the same cross-border SHIP set.
-    assert par_ships == seq_ships
-    for batch_engine in batch_engines:
+    base_run, base_ships = traced_execute(baseline, plan)
+    assert rows_as_multiset(base_run.rows) == expected
+    for engine in engines.values():
+        run, ships = traced_execute(engine, plan)
+        metrics = run.metrics
         # The batch executor preserves the row backend's exact iteration
-        # orders, so its output must be *row-identical* (ordered), not
-        # just multiset-equal — and its SHIP byte accounting, computed
-        # from columns, must bill the same bytes.
-        batch_run, batch_ships = traced_execute(batch_engine, plan)
-        assert batch_run.columns == seq_run.columns
-        assert batch_run.rows == seq_run.rows
-        assert (
-            batch_run.metrics.total_bytes_shipped
-            == seq_run.metrics.total_bytes_shipped
+        # orders and streamed transfers sit on the data path (rows flow
+        # through the codec), so every corner must be *row-identical*
+        # (ordered), not just multiset-equal, and bill the same logical
+        # SHIP bytes.
+        assert run.columns == base_run.columns
+        assert run.rows == base_run.rows
+        assert metrics.total_bytes_shipped == base_run.metrics.total_bytes_shipped
+        assert metrics.operators_executed == base_run.metrics.operators_executed
+        # The trace and the metrics record the same delivered
+        # cross-border transfers, identical across every corner.
+        assert ships == sorted(
+            (s.source, s.target, s.rows, s.bytes)
+            for s in metrics.ships
+            if s.source != s.target
         )
-        assert (
-            batch_run.metrics.operators_executed
-            == seq_run.metrics.operators_executed
-        )
-        # Per-query trace agreement between the row and batch backends:
-        # identical transfer counts and identical total SHIP bytes.
-        assert batch_ships == seq_ships
-    for stream_engine in streaming_engines(
-        sequential.database, sequential.network, full=streaming == "full"
-    ):
-        # Chunked, compressed transfers sit on the data path (rows flow
-        # through the codec), so streaming must stay *byte-identical* on
-        # rows and bill the same logical SHIP bytes as monolithic — in
-        # the metrics and in the trace-derived per-query accounting —
-        # while putting no more bytes on the wire than it ships.
-        stream_run, stream_ships = traced_execute(stream_engine, plan)
-        assert stream_run.columns == seq_run.columns
-        assert stream_run.rows == seq_run.rows
-        assert (
-            stream_run.metrics.total_bytes_shipped
-            == seq_run.metrics.total_bytes_shipped
-        )
-        assert stream_ships == seq_ships
-        assert (
-            stream_run.metrics.total_wire_bytes_shipped
-            <= stream_run.metrics.total_bytes_shipped
-        )
-        if stream_engine.parallel:
-            assert (
-                stream_run.metrics.makespan_seconds
-                <= stream_run.metrics.shipping_seconds + 1e-9
-            )
-    pairs = assert_makespan_invariants(plan, par_run.metrics)
-    return par_run, pairs
+        assert ships == base_ships
+        if not engine.ship.active:
+            # A fault-free monolithic SHIP is one α + β·bytes message.
+            for s in metrics.ships:
+                assert s.seconds == engine.network.transfer_time(
+                    s.source, s.target, s.bytes
+                )
+        assert metrics.total_wire_bytes_shipped <= metrics.total_bytes_shipped
+        assert metrics.makespan_seconds <= metrics.shipping_seconds + 1e-9
+    pairs = assert_makespan_invariants(plan, base_run.metrics)
+    return base_run, pairs
 
 
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_tpch_compliant_plans(world, name):
-    catalog, compliant, _traditional, sequential, parallel, batch_seq, batch_par = world
-    check_equivalence(
-        catalog, compliant, sequential, parallel, QUERIES[name],
-        batch_engines=(batch_seq, batch_par), streaming="full",
-    )
+    catalog, compliant, _traditional, engines = world
+    check_equivalence(catalog, compliant, engines, QUERIES[name])
 
 
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_tpch_traditional_plans(world, name):
-    catalog, _compliant, traditional, sequential, parallel, batch_seq, batch_par = world
-    check_equivalence(
-        catalog, traditional, sequential, parallel, QUERIES[name],
-        batch_engines=(batch_seq, batch_par), streaming="full",
-    )
+    catalog, _compliant, traditional, engines = world
+    check_equivalence(catalog, traditional, engines, QUERIES[name])
 
 
 #: Per-adhoc-query independent-pair counts, recorded as the equivalence
@@ -202,12 +155,9 @@ _ADHOC_PAIRS: dict[int, int] = {}
     "index", range(len(ADHOC_QUERIES)), ids=lambda i: f"adhoc{i:02d}"
 )
 def test_randomized_adhoc_queries(world, index):
-    catalog, _compliant, traditional, sequential, parallel, batch_seq, batch_par = world
+    catalog, _compliant, traditional, engines = world
     query = ADHOC_QUERIES[index]
-    _run, pairs = check_equivalence(
-        catalog, traditional, sequential, parallel, query.sql,
-        batch_engines=(batch_seq, batch_par),
-    )
+    _run, pairs = check_equivalence(catalog, traditional, engines, query.sql)
     _ADHOC_PAIRS[index] = pairs
 
 
@@ -232,12 +182,6 @@ def test_fragmented_union_plans(tpch_network):
     )
     policies = fragmented_policies(catalog)
     compliant = CompliantOptimizer(catalog, policies, tpch_network)
-    sequential = ExecutionEngine(database, tpch_network)
-    parallel = ExecutionEngine(database, tpch_network, parallel=True)
-    batch_engines = (
-        ExecutionEngine(database, tpch_network, executor="batch"),
-        ExecutionEngine(database, tpch_network, parallel=True, executor="batch"),
-    )
     sql = """
         SELECT c.c_mktsegment, COUNT(*) AS n, SUM(o.o_totalprice) AS total
         FROM customer c, orders o
@@ -245,7 +189,7 @@ def test_fragmented_union_plans(tpch_network):
         GROUP BY c.c_mktsegment
     """
     run, _pairs = check_equivalence(
-        catalog, compliant, sequential, parallel, sql, batch_engines=batch_engines
+        catalog, compliant, engine_matrix(database, tpch_network), sql
     )
     assert len(run.metrics.fragments) >= 3
 
@@ -257,14 +201,14 @@ def test_batch_executor_under_transient_chaos(world):
     TPC-H query, with at least one combo actually retrying."""
     from repro.execution import FaultPlan, RetryPolicy
 
-    catalog, compliant, _trad, sequential, _par, _bseq, _bpar = world
-    database = sequential.database
-    network = sequential.network
+    catalog, compliant, _trad, engines = world
+    baseline_engine = engines["row"]
+    database, network = baseline_engine.database, baseline_engine.network
     retried = 0
     for name, sql in sorted(QUERIES.items()):
         core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
         plan = compliant.optimize(core).plan
-        baseline = sequential.execute(plan)
+        baseline = baseline_engine.execute(plan)
         pairs = [
             (s.source, s.target)
             for s in baseline.metrics.ships
@@ -275,7 +219,6 @@ def test_batch_executor_under_transient_chaos(world):
             chaotic = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 executor="batch",
                 faults=faults,
                 retry_policy=RetryPolicy(max_retries=6),
@@ -295,18 +238,18 @@ def test_batch_executor_under_transient_chaos(world):
 def test_streaming_executor_under_transient_chaos(world):
     """Chunk-granular retry under seeded transient faults: the
     streaming+compressed scheduler must stay row-identical to the
-    fault-free sequential baseline on every curated TPC-H query and
+    fault-free monolithic baseline on every curated TPC-H query and
     keep billing logical bytes, with at least one combo retrying."""
     from repro.execution import FaultPlan, RetryPolicy
 
-    catalog, compliant, _trad, sequential, _par, _bseq, _bpar = world
-    database = sequential.database
-    network = sequential.network
+    catalog, compliant, _trad, engines = world
+    baseline_engine = engines["row"]
+    database, network = baseline_engine.database, baseline_engine.network
     retried = 0
     for name, sql in sorted(QUERIES.items()):
         core, _sort = _strip_sort(Binder(catalog).bind_sql(sql))
         plan = compliant.optimize(core).plan
-        baseline = sequential.execute(plan)
+        baseline = baseline_engine.execute(plan)
         pairs = [
             (s.source, s.target)
             for s in baseline.metrics.ships
@@ -317,7 +260,6 @@ def test_streaming_executor_under_transient_chaos(world):
             chaotic = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RetryPolicy(max_retries=6),
                 policy_guard=compliant.evaluator,

@@ -10,10 +10,9 @@ reference), we assert:
   optimizer produces for the same SQL (the rebinder reproduced the
   template exactly);
 * for the curated queries, warm execution matches cold execution
-  row-for-row and byte-for-byte across row/batch × sequential/parallel
-  engines, and the warm run's trace passes the independent compliance
+  row-for-row and byte-for-byte on the row and batch engines, and the warm run's trace passes the independent compliance
   audit clean;
-* for the ad-hoc sweep, warm sequential rows and shipped bytes match
+* for the ad-hoc sweep, warm row-engine rows and shipped bytes match
   cold.
 """
 
@@ -37,12 +36,8 @@ def world(tpch_small, tpch_network):
     warm = CompliantOptimizer(catalog, policies, tpch_network, plan_cache=True)
     cold = CompliantOptimizer(catalog, policies, tpch_network)
     engines = {
-        "row-seq": ExecutionEngine(database, tpch_network),
-        "row-par": ExecutionEngine(database, tpch_network, parallel=True),
-        "batch-seq": ExecutionEngine(database, tpch_network, executor="batch"),
-        "batch-par": ExecutionEngine(
-            database, tpch_network, parallel=True, executor="batch"
-        ),
+        "row": ExecutionEngine(database, tpch_network),
+        "batch": ExecutionEngine(database, tpch_network, executor="batch"),
     }
     return catalog, policies, warm, cold, engines
 
@@ -65,7 +60,7 @@ def test_curated_warm_equals_cold_everywhere(world, name):
     # locations, expressions) — not merely row-equivalent.
     assert warm_run.plan == cold_plan
 
-    reference = engines["row-seq"].execute(cold_plan)
+    reference = engines["row"].execute(cold_plan)
     expected = rows_as_multiset(reference.rows)
     for label, engine in engines.items():
         recorder = TraceRecorder()
@@ -91,7 +86,7 @@ def test_curated_warm_trace_audits_clean_from_file(world, tmp_path):
     recorder = TraceRecorder()
     with tracing(recorder):
         result = warm_result(warm, sql)
-        engines["row-seq"].execute(result.plan)
+        engines["row"].execute(result.plan)
     path = tmp_path / "warm.jsonl"
     recorder.write(str(path))
     report = ComplianceAuditor(policies).audit_file(str(path))
@@ -116,9 +111,9 @@ def test_adhoc_warm_equals_cold(world, index):
     warm_run = warm_result(warm, sql)
     assert warm_run.plan == cold_plan
 
-    sequential = engines["row-seq"]
-    cold_out = sequential.execute(cold_plan)
-    warm_out = sequential.execute(warm_run.plan)
+    engine = engines["row"]
+    cold_out = engine.execute(cold_plan)
+    warm_out = engine.execute(warm_run.plan)
     assert rows_as_multiset(warm_out.rows) == rows_as_multiset(cold_out.rows)
     assert warm_out.columns == cold_out.columns
     assert (

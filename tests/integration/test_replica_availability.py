@@ -60,7 +60,7 @@ def build_world(replicated: bool):
     optimizer = CompliantOptimizer(catalog, policies, network)
     plans = {name: optimizer.optimize(QUERIES[name]).plan for name in QUERY_NAMES}
     baselines = {
-        name: ExecutionEngine(database, network, parallel=True).execute(plan)
+        name: ExecutionEngine(database, network).execute(plan)
         for name, plan in plans.items()
     }
     return catalog, database, network, optimizer, plans, baselines
@@ -88,7 +88,6 @@ def crash_sweep(world):
             engine = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RETRIES,
                 policy_guard=optimizer.evaluator,
@@ -180,7 +179,6 @@ def test_sustained_link_loss_spares_the_replicated_catalog(
             engine = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RETRIES,
                 policy_guard=optimizer.evaluator,
@@ -195,7 +193,6 @@ def test_sustained_link_loss_spares_the_replicated_catalog(
             engine = ExecutionEngine(
                 free_db,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RETRIES,
                 policy_guard=free_opt.evaluator,
@@ -224,7 +221,6 @@ def test_faulted_replica_runs_audit_clean(replicated):
             engine = ExecutionEngine(
                 database,
                 network,
-                parallel=True,
                 faults=faults,
                 retry_policy=RETRIES,
                 policy_guard=optimizer.evaluator,

@@ -5,7 +5,7 @@ auditor the moment it is non-compliant.
 * **Transferability** — a scan may be answered by any *compliant*
   replica: for random compliant replica placements the optimizer's
   plans are row-identical to the replica-free reference across the full
-  executor matrix (row/batch x sequential/parallel).  This is the
+  executor matrix (row/batch).  This is the
   replicated instance of the paper's transferability property — moving
   a subquery to another site inside its grant never changes the answer.
 * **Sensitivity** — a scan answered by a *registered but ungranted*
@@ -72,7 +72,7 @@ def _world():
     references = {}
     for name in QUERY_NAMES:
         plan = optimizer.optimize(QUERIES[name]).plan
-        result = ExecutionEngine(database, network, parallel=True).execute(plan)
+        result = ExecutionEngine(database, network).execute(plan)
         references[name] = rows_as_multiset(result.rows)
     _STATE.update(
         catalog=catalog,
@@ -118,20 +118,16 @@ def test_compliant_replica_choice_never_changes_answers(data):
         )
         plan = optimizer.optimize(QUERIES[name]).plan
         for executor in ("row", "batch"):
-            for parallel in (False, True):
-                engine = ExecutionEngine(
-                    world["database"],
-                    world["network"],
-                    parallel=parallel,
-                    executor=executor,
-                    policy_guard=optimizer.evaluator,
-                )
-                result = engine.execute(plan)
-                key = (name, executor, parallel, tuple(chosen))
-                assert result.partial_failure is None, key
-                assert (
-                    rows_as_multiset(result.rows) == world["references"][name]
-                ), key
+            engine = ExecutionEngine(
+                world["database"],
+                world["network"],
+                executor=executor,
+                policy_guard=optimizer.evaluator,
+            )
+            result = engine.execute(plan)
+            key = (name, executor, tuple(chosen))
+            assert result.partial_failure is None, key
+            assert rows_as_multiset(result.rows) == world["references"][name], key
     finally:
         for db, table, site in added:
             catalog.drop_replica(db, table, site)
@@ -199,9 +195,7 @@ def test_non_compliant_replica_reads_always_flagged(data):
         corrupted = relocate_fragment(
             plan, fragment_plan(plan).fragments[index], site
         )
-        engine = ExecutionEngine(
-            world["database"], world["network"], parallel=True
-        )
+        engine = ExecutionEngine(world["database"], world["network"])
         recorder = TraceRecorder()
         with tracing(recorder):
             engine.execute(corrupted)

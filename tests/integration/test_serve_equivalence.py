@@ -47,7 +47,6 @@ def references(world):
             database,
             network,
             policy_guard=optimizer.evaluator,
-            parallel=True,
             executor=executor,
         )
         out[executor] = {

@@ -36,7 +36,6 @@ def reference(carco, carco_optimizer):
         carco.database,
         carco.network,
         policy_guard=carco_optimizer.evaluator,
-        parallel=True,
     )
     return engine.execute(plan)
 
@@ -195,7 +194,7 @@ class TestLoadShedding:
         )
         plan = optimizer.optimize(QUERIES["Q5"]).plan
         reference = ExecutionEngine(
-            database, tpch_network, policy_guard=optimizer.evaluator, parallel=True
+            database, tpch_network, policy_guard=optimizer.evaluator
         ).execute(plan)
         root = next(f for f in reference.metrics.fragments if f.consumer is None)
         root_base = max(

@@ -118,9 +118,9 @@ def test_serve_invalid_knob_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "run_args, audit_args",
     [
-        pytest.param(["Q3", "--parallel"], ["--set", "CR"], id="q3"),
+        pytest.param(["Q3"], ["--set", "CR"], id="q3"),
         pytest.param(
-            ["Q5", "--parallel", "--faults", "random:11", "--retries", "6"],
+            ["Q5", "--faults", "random:11", "--retries", "6"],
             ["--set", "CR"],
             id="random-faults",
         ),
@@ -151,7 +151,7 @@ def test_audit_flags_mutated_trace_with_exit_4(tmp_path, capsys):
 
     trace = tmp_path / "q3.jsonl"
     assert main(
-        ["run", "Q3", "--scale", "0.001", "--parallel", "--trace", str(trace)]
+        ["run", "Q3", "--scale", "0.001", "--trace", str(trace)]
     ) == 0
     capsys.readouterr()
     mutated = []
@@ -179,7 +179,7 @@ def test_audit_malformed_trace_exit_code(tmp_path, capsys):
 def test_audit_with_policy_file(tmp_path, capsys):
     trace = tmp_path / "q3.jsonl"
     assert main(
-        ["run", "Q3", "--scale", "0.001", "--parallel", "--trace", str(trace)]
+        ["run", "Q3", "--scale", "0.001", "--trace", str(trace)]
     ) == 0
     capsys.readouterr()
     # A policy file granting nothing: every cross-border ship violates.
@@ -226,7 +226,7 @@ def test_run_with_replicas_and_audit_roundtrip(tmp_path, capsys):
     trace = tmp_path / "replicas.jsonl"
     assert main(
         [
-            "run", "Q3", "--scale", "0.001", "--set", "T", "--parallel",
+            "run", "Q3", "--scale", "0.001", "--set", "T",
             "--replicas", REPLICA_SPEC, "--result-location", "Europe",
             "--faults", "flaky:NorthAmerica->Europe@0+0.05",
             "--retries", "6", "--trace", str(trace),
@@ -249,7 +249,7 @@ def test_run_replica_failover_summary_line(capsys):
     spec = REPLICA_SPEC + ";db4.lineitem@Europe"
     assert main(
         [
-            "run", "Q3", "--scale", "0.001", "--set", "T", "--parallel",
+            "run", "Q3", "--scale", "0.001", "--set", "T",
             "--replicas", spec, "--faults", "crash:Europe@0", "--retries", "6",
         ]
     ) == 0

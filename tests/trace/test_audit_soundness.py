@@ -2,9 +2,9 @@
 
 Theorem 1 as a *runtime* property: every execution the stack actually
 performs — random TPC-H-derived queries x random curated policy sets x
-random fault schedules, on both operator backends, sequential and
-fragment-parallel — must produce a trace the independent auditor
-declares compliant (zero violations).  And the auditor must not be
+random fault schedules (or none), on both operator backends — must
+produce a trace the independent auditor declares compliant (zero
+violations).  And the auditor must not be
 vacuous: corrupting a single fragment's placement post-hoc (the same
 mutation a buggy failover would make) has to be flagged on **every**
 corrupted run, and rewriting a recorded transfer's destination to a
@@ -87,17 +87,16 @@ def _world(tpch_small, tpch_network):
     return _STATE
 
 
-def _traced_run(world, plan, pset, executor, parallel, fault_seed):
+def _traced_run(world, plan, pset, executor, fault_seed):
     faults = None
     retry_policy = None
-    if parallel and fault_seed is not None:
+    if fault_seed is not None:
         faults = FaultPlan.random(fault_seed, world["catalog"].locations)
         retry_policy = RetryPolicy(max_retries=6)
     engine = ExecutionEngine(
         world["database"],
         world["network"],
         policy_guard=world["optimizers"][pset].evaluator,
-        parallel=parallel,
         executor=executor,
         faults=faults,
         retry_policy=retry_policy,
@@ -122,17 +121,12 @@ def test_every_traced_execution_audits_clean(tpch_small, tpch_network, data):
     label, pset, plan = data.draw(
         st.sampled_from(world["combos"]), label="combo"
     )
-    parallel = data.draw(st.booleans(), label="parallel")
-    fault_seed = (
-        data.draw(st.integers(0, 9_999), label="fault_seed")
-        if parallel
-        else None
-    )
+    fault_seed = data.draw(st.none() | st.integers(0, 9_999), label="fault_seed")
     for executor in ("row", "batch"):
-        recorder = _traced_run(world, plan, pset, executor, parallel, fault_seed)
+        recorder = _traced_run(world, plan, pset, executor, fault_seed)
         events = parse_trace(recorder.to_jsonl())
         report = world["auditors"][pset].audit_events(events)
-        key = (label, pset, executor, parallel, fault_seed)
+        key = (label, pset, executor, fault_seed)
         assert report.ok, (key, [str(v) for v in report.violations])
         assert report.queries == 1, key
         # Every cross-border attempt carried an auditable payload.
@@ -202,9 +196,7 @@ def test_corrupted_placements_are_flagged(tpch_small, tpch_network, data):
         st.sampled_from(_corruption_cases(world)), label="corruption"
     )
     executor = data.draw(st.sampled_from(["row", "batch"]), label="executor")
-    engine = ExecutionEngine(
-        world["database"], world["network"], parallel=True, executor=executor
-    )
+    engine = ExecutionEngine(world["database"], world["network"], executor=executor)
     recorder = TraceRecorder()
     with tracing(recorder):
         engine.execute(corrupted)
@@ -225,7 +217,7 @@ def test_mutated_trace_destination_is_flagged(tpch_small, tpch_network):
         c for c in world["combos"] if c[1] == "CR"
     )
     auditor = world["auditors"][pset]
-    recorder = _traced_run(world, plan, pset, "row", parallel=True, fault_seed=None)
+    recorder = _traced_run(world, plan, pset, "row", fault_seed=None)
     assert auditor.audit_events(recorder.events()).ok
 
     lines = recorder.to_jsonl().splitlines()
@@ -273,9 +265,7 @@ def test_unobservable_relocations_stay_clean(tpch_small, tpch_network):
                 )
                 if cross_border or _displaced_shipped_scan(moved, catalog):
                     continue
-                engine = ExecutionEngine(
-                    world["database"], world["network"], parallel=True
-                )
+                engine = ExecutionEngine(world["database"], world["network"])
                 recorder = TraceRecorder()
                 with tracing(recorder):
                     engine.execute(moved)

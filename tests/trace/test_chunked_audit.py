@@ -37,7 +37,6 @@ def traced_stream_run(world, name, chunk_rows, compression="auto"):
     engine = ExecutionEngine(
         database,
         network,
-        parallel=True,
         ship=ShipConfig(chunk_rows=chunk_rows, compression=compression),
     )
     recorder = TraceRecorder()

@@ -19,6 +19,7 @@ from repro.policy import PolicyCatalog
 from repro.trace import (
     ComplianceAuditor,
     OptimizedEvent,
+    RecoveryEvent,
     ScanReadEvent,
     ShipEvent,
     TraceRecorder,
@@ -73,6 +74,20 @@ def test_roundtrip_verdicts_and_counter_reconciliation():
     assert any(e.staleness_at_read == pytest.approx(0.3) for e in ships)
     annotated = [e for e in ships if payload_reads(e.payload or {})]
     assert annotated
+    # The derived failover counters reconcile against the recovery
+    # events of a run that demotes off a bound-violating replica.
+    _, _, events, metrics = traced_run(mode="read-stale", bound=0.1)
+    replica = [
+        e for e in events
+        if isinstance(e, RecoveryEvent) and e.failover_kind == "replica"
+    ]
+    assert metrics.replica_failovers == len(replica) == 1
+    assert metrics.freshness_demotions == sum(
+        e.staleness_at_read is not None for e in replica
+    ) == 1
+    assert metrics.stale_reads == sum(
+        e.staleness_at_read > 1e-9 for e in events if isinstance(e, ScanReadEvent)
+    )
 
 
 def test_auditor_bound_flags_stale_reads_plan_only_served():
