@@ -329,10 +329,7 @@ class QueryServer:
         query = None
         if recorder is not None:
             query = recorder.begin_query(
-                label=request.label,
-                at=now,
-                executor=self.scheduler.executor,
-                parallel=True,
+                label=request.label, at=now, executor=self.scheduler.executor
             )
         try:
             batch, run_metrics = self.scheduler.run(

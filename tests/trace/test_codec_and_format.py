@@ -116,9 +116,9 @@ def test_event_dict_round_trip():
         ({"kind": "teleport"}, "unknown trace event kind"),
         ({"kind": "ship"}, "missing required"),
         ({"kind": "query_start", "query": 1, "at": 0.0, "label": "q",
-          "executor": "row", "parallel": False, "warp": 9}, "unknown field"),
+          "executor": "row", "warp": 9}, "unknown field"),
         ({"kind": "query_start", "query": "one", "at": 0.0, "label": "q",
-          "executor": "row", "parallel": False}, "mistyped query/at"),
+          "executor": "row"}, "mistyped query/at"),
         ({"kind": "ship", "query": 1, "at": 0.0, "source": "A", "target": "B",
           "rows": 1, "bytes": 1, "attempt": 1, "outcome": "beamed"},
          "unknown ship outcome"),
@@ -145,9 +145,9 @@ def test_recorder_is_inert_when_not_installed():
 
 def test_query_brackets_assign_scoped_ids():
     recorder = TraceRecorder()
-    first = recorder.begin_query(label="a", executor="row", parallel=False)
+    first = recorder.begin_query(label="a", executor="row")
     recorder.end_query(first, at=1.0, status="ok", rows=1)
-    second = recorder.begin_query(label="b", executor="row", parallel=False)
+    second = recorder.begin_query(label="b", executor="row")
     recorder.end_query(second, at=1.0, status="ok", rows=1)
     assert (first, second) == (1, 2)
     starts = [e for e in recorder.events() if isinstance(e, QueryStart)]
@@ -155,7 +155,7 @@ def test_query_brackets_assign_scoped_ids():
 
 
 def test_parse_trace_reports_line_numbers():
-    good = QueryStart(query=1, label="q", executor="row", parallel=False)
+    good = QueryStart(query=1, label="q", executor="row")
     line = json.dumps(good.to_dict())
     with pytest.raises(TraceFormatError, match="line 2"):
         parse_trace(line + "\n{broken\n")
@@ -169,7 +169,7 @@ def test_read_trace_wraps_io_errors(tmp_path):
         read_trace(str(tmp_path / "missing.jsonl"))
     path = tmp_path / "trace.jsonl"
     recorder = TraceRecorder()
-    query = recorder.begin_query(label="q", executor="row", parallel=True)
+    query = recorder.begin_query(label="q", executor="row")
     recorder.end_query(query, at=0.5, status="ok", rows=3)
     assert recorder.write(str(path)) == 2
     assert read_trace(str(path)) == recorder.events()
