@@ -105,6 +105,7 @@ from .tpch import (
     curated_policies,
     default_network,
 )
+from .validation import validate_staleness_bound
 
 
 def _resolve_sql(text: str) -> str:
@@ -737,6 +738,8 @@ def main(argv: list[str] | None = None) -> int:
         "queries": _cmd_queries,
     }
     try:
+        bound = getattr(args, "max_staleness", None)
+        validate_staleness_bound(bound, "--max-staleness")
         return handlers[args.command](args)
     except NonCompliantQueryError as error:
         print(f"REJECTED: {error}", file=sys.stderr)

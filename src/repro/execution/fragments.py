@@ -30,8 +30,9 @@ that order and advances a simulated clock along its edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from ..plan import PhysicalPlan, Ship, explain_physical
+from ..plan import PhysicalPlan, Ship, TableScan, explain_physical
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,17 @@ class Fragment:
     #: Index of the fragment containing ``output`` (None for the root).
     consumer: int | None = None
 
-    @property
-    def operator_count(self) -> int:
-        """Operators in the fragment body (cut Ship leaves included)."""
-        cut_ships = {id(entry.ship) for entry in self.inputs}
-        count = 0
+    def body(self) -> Iterator[PhysicalPlan]:
+        """The fragment's body nodes: its root and everything below it,
+        stopping at (and including) the cut Ship leaves, whose subtrees
+        belong to the producers."""
+        cut = {id(entry.ship) for entry in self.inputs}
         stack = [self.root]
         while stack:
             node = stack.pop()
-            count += 1
-            if id(node) in cut_ships:
-                continue
-            stack.extend(node.children())
-        return count
+            yield node
+            if id(node) not in cut:
+                stack.extend(node.children())
 
 
 @dataclass
@@ -111,19 +110,13 @@ def scan_sites(fragment: Fragment) -> tuple[tuple[str, str, str], ...]:
     With replicated catalogs the site may differ from the fragment's
     table's primary location (it then names the replica being read);
     the trace payload codec and the auditor both consume this."""
-    from ..plan import TableScan
-
-    cut_ships = {id(entry.ship) for entry in fragment.inputs}
-    found: list[tuple[str, str, str]] = []
-    stack = [fragment.root]
-    while stack:
-        node = stack.pop()
-        if id(node) in cut_ships:
-            continue
-        if isinstance(node, TableScan):
-            found.append((node.database, node.table, node.location))
-        stack.extend(node.children())
-    return tuple(sorted(found))
+    return tuple(
+        sorted(
+            (node.database, node.table, node.location)
+            for node in fragment.body()
+            if isinstance(node, TableScan)
+        )
+    )
 
 
 def fragment_plan(plan: PhysicalPlan) -> FragmentDAG:

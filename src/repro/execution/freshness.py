@@ -8,7 +8,10 @@ pairs a :class:`~repro.catalog.FreshnessTracker` (which derives each
 replica's staleness at any simulated instant from its refresh schedule)
 with an enforcement mode, and the fragment scheduler consults it at
 every scan-bearing admission and every failover decision — the bound is
-re-checked *at that instant*, never trusted from plan time.
+re-checked *at that instant*, never trusted from plan time.  At an
+admission the policy returns a :class:`FreshnessVerdict` (commit the
+reads, possibly after a refresh wait, or demote) that the scheduler
+only acts on, so every mode decision lives in this module.
 
 Modes
 -----
@@ -33,8 +36,11 @@ Modes
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..catalog import FRESHNESS_EPS, FreshnessTracker
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, ReplicaStaleError
+from ..validation import validate_staleness_bound
 from .fragments import Fragment, scan_sites
 from .metrics import ScanRead
 
@@ -45,6 +51,24 @@ FRESHNESS_MODES = ("prefer-fresh", "wait-for-refresh", "read-stale", "plan-only"
 #: for the *latest* violating replica's refresh, so more than a handful
 #: of rounds means refreshes cannot outrun the bound at all.
 MAX_REFRESH_WAITS = 8
+
+
+@dataclass(frozen=True)
+class FreshnessVerdict:
+    """The freshness gate's decision for one fragment admission.
+
+    Commit ``reads`` at instant ``at`` (later than the admission
+    instant exactly when the fragment waited for a refresh) — unless
+    ``demotion`` is set, in which case the scheduler first tries to
+    re-place the fragment on a fresher legal copy.  A hard demotion (a bound
+    violation) must succeed or the query degrades to a partial failure;
+    a ``soft`` one (prefer-fresh, read within the bound) falls back to
+    committing ``reads`` when nothing fresher is placeable."""
+
+    at: float
+    reads: tuple[ScanRead, ...]
+    demotion: ReplicaStaleError | None = None
+    soft: bool = False
 
 
 class FreshnessPolicy:
@@ -61,13 +85,11 @@ class FreshnessPolicy:
                 f"unknown staleness policy {mode!r}; expected one of "
                 f"{', '.join(FRESHNESS_MODES)}"
             )
-        if max_staleness is not None and max_staleness < 0:
-            raise InvalidParameterError(
-                f"max staleness bound must be >= 0 seconds, got {max_staleness}"
-            )
         self.tracker = tracker
         self.mode = mode
-        self.max_staleness = max_staleness
+        self.max_staleness = validate_staleness_bound(
+            max_staleness, "max staleness bound"
+        )
 
     @property
     def enforcing(self) -> bool:
@@ -108,3 +130,81 @@ class FreshnessPolicy:
                     worst, self.tracker.staleness(database, table, site, at)
                 )
         return worst
+
+    def admit(
+        self, fragment: Fragment, start: float, timeout: float | None
+    ) -> FreshnessVerdict:
+        """Re-check the fragment's replica reads at its admission instant
+        ``start`` — the runtime half of the freshness model (plan-time
+        filtering already happened; the copies may have aged since).
+        ``timeout`` (the retry policy's fragment timeout) caps a
+        wait-for-refresh park."""
+        reads = self.replica_reads(fragment, start)
+        if not reads or not self.enforcing:
+            return FreshnessVerdict(start, reads)
+        violations = [r for r in reads if not self.within_bound(r.staleness_seconds)]
+        if violations and self.mode == "wait-for-refresh":
+            waited = self._wait_for_refresh(fragment, start, violations, timeout)
+            if waited is not None:
+                return waited
+            # No refresh is coming (or none inside the fragment
+            # timeout): fall through to demotion.
+        if violations:
+            worst = max(r.staleness_seconds for r in violations)
+            copies = sorted({f"{r.database}.{r.table}@{r.site}" for r in violations})
+            error = ReplicaStaleError(
+                f"fragment f{fragment.index} would read {', '.join(copies)} "
+                f"at staleness {worst:.3f}s, over the "
+                f"{self.max_staleness:g}s bound at t={start:.3f}s",
+                site=fragment.location,
+                staleness=worst,
+                bound=self.max_staleness,
+            )
+            error.at = start
+            return FreshnessVerdict(start, reads, demotion=error)
+        worst = max(r.staleness_seconds for r in reads)
+        if self.mode == "prefer-fresh" and worst > FRESHNESS_EPS:
+            # In-bound but lagging: demote softly — only if a strictly
+            # fresher legal copy is actually placeable.
+            error = ReplicaStaleError(
+                f"fragment f{fragment.index} prefers a copy fresher than "
+                f"{worst:.3f}s-stale {fragment.location!r} at t={start:.3f}s",
+                site=fragment.location,
+                staleness=worst,
+                bound=self.max_staleness,
+            )
+            error.at = start
+            return FreshnessVerdict(start, reads, demotion=error, soft=True)
+        return FreshnessVerdict(start, reads)
+
+    def _wait_for_refresh(
+        self,
+        fragment: Fragment,
+        start: float,
+        violations: list[ScanRead],
+        timeout: float | None,
+    ) -> FreshnessVerdict | None:
+        """Park the fragment until every violating replica has refreshed
+        within the bound.  Returns the post-wait verdict, or ``None``
+        when waiting cannot help (a refresh is never coming, the wait
+        would blow the fragment timeout, or the schedules cannot outrun
+        the bound)."""
+        now = start
+        pending = violations
+        for _ in range(MAX_REFRESH_WAITS):
+            target = now
+            for read in pending:
+                refresh = self.tracker.next_refresh(
+                    read.database, read.table, read.site, now
+                )
+                if refresh is None:
+                    return None  # paused forever / no schedule
+                target = max(target, refresh)
+            if timeout is not None and target - start > timeout:
+                return None
+            reads = self.replica_reads(fragment, target)
+            pending = [r for r in reads if not self.within_bound(r.staleness_seconds)]
+            if not pending:
+                return FreshnessVerdict(target, reads)
+            now = target
+        return None

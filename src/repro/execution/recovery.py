@@ -161,21 +161,6 @@ class ChunkLedger:
 # -- fragment relocation -------------------------------------------------------
 
 
-def fragment_body_ids(fragment: Fragment) -> tuple[set[int], set[int]]:
-    """Ids of the nodes in a fragment's body, and of its cut Ship leaves
-    (which are part of the body but keep their producer-side source)."""
-    cut = {id(entry.ship) for entry in fragment.inputs}
-    body: set[int] = set()
-    stack: list[PhysicalPlan] = [fragment.root]
-    while stack:
-        node = stack.pop()
-        body.add(id(node))
-        if id(node) in cut:
-            continue
-        stack.extend(node.children())
-    return body, cut
-
-
 def relocate_fragment(
     plan: PhysicalPlan, fragment: Fragment, new_site: str
 ) -> PhysicalPlan:
@@ -189,7 +174,8 @@ def relocate_fragment(
     placement stays consistent and the candidate can be discarded freely
     if validation rejects it.
     """
-    body, cut = fragment_body_ids(fragment)
+    cut = {id(entry.ship) for entry in fragment.inputs}
+    body = {id(node) for node in fragment.body()}
     output_id = id(fragment.output) if fragment.output is not None else None
 
     def rebuild(node: PhysicalPlan) -> PhysicalPlan:
@@ -237,13 +223,10 @@ def failover_candidates(
     """
     if isinstance(fragment.root, Ship):
         return ()
-    _body, cut = fragment_body_ids(fragment)
     trait: frozenset[str] | None = None
     untraited_scan = False
-    stack: list[PhysicalPlan] = [fragment.root]
-    while stack:
-        node = stack.pop()
-        if id(node) in cut or isinstance(node, Ship):
+    for node in fragment.body():
+        if isinstance(node, Ship):
             continue
         if node.execution_trait is not None:
             trait = (
@@ -253,7 +236,6 @@ def failover_candidates(
             )
         elif isinstance(node, TableScan):
             untraited_scan = True
-        stack.extend(node.children())
     if trait is None:
         if untraited_scan or all_locations is None:
             return ()
@@ -270,16 +252,7 @@ def fragment_scans(fragment: Fragment) -> bool:
     possible when the catalog declares one and the policies admit it
     (replica sites are in the scan's ℰ, so the candidate set encodes
     legality already); without replicas these fragments are pinned."""
-    _body, cut = fragment_body_ids(fragment)
-    stack: list[PhysicalPlan] = [fragment.root]
-    while stack:
-        node = stack.pop()
-        if id(node) in cut:
-            continue
-        if isinstance(node, TableScan):
-            return True
-        stack.extend(node.children())
-    return False
+    return any(isinstance(node, TableScan) for node in fragment.body())
 
 
 @dataclass

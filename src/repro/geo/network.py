@@ -118,14 +118,14 @@ class LinkGovernor(Protocol):
     def record_failure(self, source: str, target: str, when: float) -> None: ...
 
 
-class FaultAwareNetwork(NetworkModel):
-    """A :class:`NetworkModel` view that consults a fault schedule.
+class FaultAwareNetwork:
+    """Prices send attempts on a base :class:`NetworkModel` under a
+    fault schedule.
 
-    ``transfer_time`` (the time-free view used for planning and
-    fault-free accounting) delegates to the base model unchanged;
-    :meth:`attempt_transfer` is the runtime entry point the fragment
-    scheduler calls per attempt at a simulated instant, surfacing
-    injected faults as the typed errors of :mod:`repro.errors`:
+    :meth:`attempt_transfer` is the runtime's only entry point: the
+    transfer simulator (:func:`repro.execution.shipping.transfer`) calls
+    it per attempt at a simulated instant, and it surfaces injected
+    faults as the typed errors of :mod:`repro.errors`:
 
     * endpoint site crashed → :class:`SiteUnavailableError`;
     * link down → :class:`TransferError` (``transient`` only when the
@@ -153,13 +153,9 @@ class FaultAwareNetwork(NetworkModel):
         faults: FaultModel,
         breakers: "LinkGovernor | None" = None,
     ) -> None:
-        super().__init__(base._links, strict=base.strict)
         self.base = base
         self.faults = faults
         self.breakers = breakers
-
-    def site_available(self, site: str, when: float) -> bool:
-        return not self.faults.site_down(site, when)
 
     def attempt_transfer(
         self,

@@ -1,13 +1,13 @@
 """Shared parameter validators for tuning knobs.
 
 Every sizing/timeout knob in the system — worker counts, retry budgets,
-fragment timeouts, and the query server's ``--concurrency`` /
-``--queue-depth`` / ``--deadline`` flags — funnels through these three
-helpers, so an out-of-range value always fails with the same typed
-:class:`~repro.errors.InvalidParameterError` and the same message shape
-("<name> must be ..., got <value>") instead of an opaque crash deep
-inside a layer, a bare ``argparse`` type error, or a silently-accepted
-nonsense value.
+fragment timeouts, staleness bounds, and the query server's
+``--concurrency`` / ``--queue-depth`` / ``--deadline`` flags — funnels
+through these helpers, so an out-of-range value always fails with the
+same typed :class:`~repro.errors.InvalidParameterError` and the same
+message shape ("<name> must be ..., got <value>") instead of an opaque
+crash deep inside a layer, a bare ``argparse`` type error, or a
+silently-accepted nonsense value.
 """
 
 from __future__ import annotations
@@ -57,3 +57,17 @@ def validate_timeout(value: object, name: str) -> float | None:
             f"{name} must be a positive number of seconds, got {value}"
         )
     return float(value)
+
+
+def validate_staleness_bound(value: object, name: str) -> float | None:
+    """``value`` as a non-negative number of seconds, or ``None`` meaning
+    "no bound".  NaN is rejected: every comparison against it is false,
+    so it would silently admit no replica at plan time and every read at
+    run time."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameterError(f"{name} must be >= 0 seconds, got {value!r}")
+    if value != value or value < 0:  # NaN or negative
+        raise InvalidParameterError(f"{name} must be >= 0 seconds, got {value}")
+    return value

@@ -175,12 +175,9 @@ class TestFaultAwareNetwork:
             # The default: a monolithic send is a whole connection.
             assert seconds == net.attempt_transfer("A", "B", 1000, 0.0)
             assert seconds == pytest.approx(wan.transfer_time("A", "B", 1000))
-        assert net.transfer_time("A", "B", 1000) == wan.transfer_time("A", "B", 1000)
 
     def test_crashed_endpoint_raises(self, wan, include_alpha):
         net = FaultAwareNetwork(wan, FaultPlan([SiteCrash("B", at=1.0)]))
-        assert net.site_available("B", 0.5)
-        assert not net.site_available("B", 1.5)
         net.attempt_transfer("A", "B", 10, 0.5, include_alpha=include_alpha)
         with pytest.raises(SiteUnavailableError) as excinfo:
             net.attempt_transfer("A", "B", 10, 1.5, include_alpha=include_alpha)

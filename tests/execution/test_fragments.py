@@ -81,7 +81,7 @@ def test_nested_ship_relay_chain(catalog):
     # Middle fragment's body is just the inner Ship leaf.
     middle = dag.fragments[1]
     assert isinstance(middle.root, Ship)
-    assert middle.operator_count == 1
+    assert list(middle.body()) == [middle.root]
     assert dag.independent_pairs() == 0
 
 
@@ -123,11 +123,11 @@ def test_ancestors_follow_consumer_chain(catalog):
 def test_fragment_operator_count_excludes_producer_subtrees(catalog):
     dag = fragment_plan(_bushy_join(catalog))
     # Join fragment: the join node plus two cut Ship leaves.
-    assert dag.root.operator_count == 3
+    assert len(list(dag.root.body())) == 3
     # Producer fragments contain their full ship-free subtree.
     for fragment in dag.fragments[:-1]:
         assert not isinstance(fragment.root, Ship)
-        assert fragment.operator_count == sum(1 for _ in fragment.root.walk())
+        assert len(list(fragment.body())) == sum(1 for _ in fragment.root.walk())
 
 
 def test_explain_fragments_renders_cut_edges(catalog):

@@ -12,10 +12,11 @@ from repro.errors import ComplianceViolationError, ExecutionError
 from repro.execution import (
     ExecutionEngine,
     FragmentScheduler,
+    OperatorExecutor,
+    fragment_plan,
     parse_fault_spec,
     reference_plan,
 )
-from repro.execution.scheduler import _ChaosRun
 from repro.geo import GeoDatabase, NetworkModel
 from repro.plan import NestedLoopJoin, Ship, UnionAll
 from repro.policy import PolicyCatalog, PolicyEvaluator
@@ -280,15 +281,21 @@ class TestFixedOrder:
     is a fact of the plan, not of a race."""
 
     def _record_compute(self, monkeypatch):
+        """Record each fragment body the (default, row) backend runs, and
+        on which thread."""
         computed: list[tuple[int, int]] = []
-        original = _ChaosRun._compute
+        original = OperatorExecutor.run_fragment
 
-        def recording(run, fragment):
-            computed.append((fragment.index, threading.get_ident()))
-            return original(run, fragment)
+        def recording(executor, root):
+            computed.append((id(root), threading.get_ident()))
+            return original(executor, root)
 
-        monkeypatch.setattr(_ChaosRun, "_compute", recording)
+        monkeypatch.setattr(OperatorExecutor, "run_fragment", recording)
         return computed
+
+    @staticmethod
+    def _roots(plan):
+        return [id(fragment.root) for fragment in fragment_plan(plan).fragments]
 
     def test_fragments_run_in_topological_order_on_the_caller(
         self, world, monkeypatch
@@ -298,8 +305,8 @@ class TestFixedOrder:
         plan = union_of_scans(catalog, 4)
         (_, rows), metrics = FragmentScheduler(db, network).run(plan)
         assert len(rows) == 80
-        count = len(metrics.fragments)
-        assert [index for index, _ in computed] == list(range(count))
+        assert len(metrics.fragments) == len(computed)
+        assert [root for root, _ in computed] == self._roots(plan)
         assert {thread for _, thread in computed} == {threading.get_ident()}
 
     def test_partial_failure_stops_before_later_fragments(
@@ -314,11 +321,12 @@ class TestFixedOrder:
             scheduler = FragmentScheduler(
                 db, network, faults=parse_fault_spec("crash:L2@0")
             )
-            (_, rows), metrics = scheduler.run(bushy_join(catalog))
+            plan = bushy_join(catalog)
+            (_, rows), metrics = scheduler.run(plan)
             assert rows == []
             assert metrics.partial_failure.fragment_index == 1
             assert [f.index for f in metrics.fragments] == [0]
-            assert [index for index, _ in computed] == [0]
+            assert [root for root, _ in computed] == self._roots(plan)[:1]
 
 
 class TestErrorPropagation:

@@ -24,6 +24,7 @@ from repro.execution import (
     ExecutionEngine,
     FaultPlan,
     RetryPolicy,
+    ShipConfig,
     SiteCrash,
     failover_candidates,
     fragment_plan,
@@ -33,6 +34,7 @@ from repro.optimizer import CompliantOptimizer
 from repro.optimizer.compliant import _strip_sort
 from repro.sql import Binder
 from repro.tpch import QUERIES, curated_policies
+from repro.trace import ChunkEvent, ShipEvent, TraceRecorder, tracing
 
 from ..conftest import rows_as_multiset
 
@@ -55,7 +57,7 @@ def world(tpch_small, tpch_network):
     return catalog, database, tpch_network, compliant, baselines
 
 
-def faulted_engine(world, faults, policy=RETRIES):
+def faulted_engine(world, faults, policy=RETRIES, ship=None):
     _catalog, database, network, compliant, _baselines = world
     return ExecutionEngine(
         database,
@@ -63,6 +65,7 @@ def faulted_engine(world, faults, policy=RETRIES):
         faults=faults,
         retry_policy=policy,
         policy_guard=compliant.evaluator,
+        ship=ship,
     )
 
 
@@ -110,6 +113,91 @@ def test_transient_chaos_equivalence(world):
     assert retried >= combos // 4
     assert inflated >= combos // 4
     assert worst > 1.05  # and at least one costs the critical path > 5 %
+
+
+TRANSPORTS = {
+    "monolithic": ShipConfig(),
+    "stream-64": ShipConfig(chunk_rows=64, compression="auto"),
+}
+
+
+def implied_backoff(record, producer, events, policy, streamed):
+    """The backoff a transfer's attempt events imply: one
+    ``policy.backoff`` per transient attempt, keyed as the transfer
+    simulator keys its jitter.  A streamed transfer's attempts are its
+    chunk events, accumulated over the whole run; a monolithic record
+    covers only its final invocation, attempts ``1..n`` of which all
+    but the delivered last were transient."""
+    if streamed:
+        chunks = [
+            e
+            for e in events
+            if isinstance(e, ChunkEvent)
+            and (e.producer, e.target) == (producer, record.target)
+        ]
+        assert len(chunks) == record.attempts
+        return sum(
+            policy.backoff(e.attempt, producer, e.source, e.target, e.chunk)
+            for e in chunks
+            if e.outcome == "transient"
+        )
+    sends = [
+        e
+        for e in events
+        if isinstance(e, ShipEvent)
+        and (e.producer, e.source, e.target)
+        == (producer, record.source, record.target)
+    ]
+    assert {(record.attempts, "delivered")} <= {(e.attempt, e.outcome) for e in sends}
+    transient = {e.attempt for e in sends if e.outcome == "transient"}
+    assert set(range(1, record.attempts)) <= transient
+    return sum(
+        policy.backoff(attempt, producer, record.source, record.target)
+        for attempt in range(1, record.attempts)
+    )
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_retry_waits_match_attempt_events(world, transport):
+    """Faulted corners, both transports: every ``ShipRecord``'s
+    ``retry_wait_seconds`` is exactly the backoff its traced attempts
+    imply — one accounting (the chunk ledger's) for either transport."""
+    catalog, _db, _network, _compliant, baselines = world
+    ship = TRANSPORTS[transport]
+    checked = waited = 0
+    for name, (plan, base) in baselines.items():
+        specs = [
+            FaultPlan.random(
+                seed, catalog.locations, pairs=live_pairs(base) or None
+            )
+            for seed in SEEDS
+        ]
+        for src, dst in sorted(set(live_pairs(base)))[:1]:
+            specs.append(
+                parse_fault_spec(
+                    f"flaky:{src}->{dst}@0+0.15", locations=catalog.locations
+                )
+            )
+        for faults in specs:
+            recorder = TraceRecorder()
+            with tracing(recorder):
+                result = faulted_engine(world, faults, ship=ship).execute(plan)
+            key = (name, str(faults))
+            assert result.partial_failure is None, key
+            events = recorder.events()
+            metrics = result.metrics
+            for fragment, record in zip(metrics.fragments, metrics.ships):
+                streamed = ship.streaming and record.source != record.target
+                expected = implied_backoff(
+                    record, fragment.index, events, RETRIES, streamed
+                )
+                assert record.retry_wait_seconds == pytest.approx(
+                    expected, rel=1e-12, abs=0.0
+                ), (key, fragment.index)
+                checked += 1
+                waited += record.retry_wait_seconds > 0
+    assert checked > 0
+    assert waited >= 5  # the corners really retried
 
 
 def test_critical_path_retry_inflates_makespan_exactly(world):

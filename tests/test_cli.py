@@ -103,6 +103,26 @@ def test_serve_workload(tmp_path, capsys):
     assert "breakers:" in captured.err
 
 
+@pytest.mark.parametrize("bound", ["-1", "nan"])
+@pytest.mark.parametrize("command", ["explain", "run", "serve", "audit"])
+def test_max_staleness_rejects_negative_and_nan(tmp_path, capsys, command, bound):
+    """One shared check, before any work: a negative or NaN bound is a
+    typed parameter error (exit 1) on every command that takes it."""
+    workload = tmp_path / "workload.json"
+    workload.write_text('["Q3"]')
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("")
+    replicas = ["--set", "T", "--replicas", "db1.customer@NorthAmerica"]
+    argv = {
+        "explain": ["explain", "Q3", *replicas],
+        "run": ["run", "Q3", "--scale", "0.001", *replicas],
+        "serve": ["serve", str(workload), "--scale", "0.001", *replicas],
+        "audit": ["audit", str(trace), *replicas],
+    }[command]
+    assert main([*argv, "--max-staleness", bound]) == 1
+    assert "--max-staleness must be >= 0 seconds" in capsys.readouterr().err
+
+
 def test_serve_missing_workload_file_exit_code(tmp_path, capsys):
     assert main(["serve", str(tmp_path / "absent.json")]) == 1
     assert "cannot read workload file" in capsys.readouterr().err
