@@ -163,9 +163,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
-
     @property
     def tables(self) -> list[GlobalTable]:
         return list(self._tables.values())

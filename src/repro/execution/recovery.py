@@ -39,11 +39,11 @@ Two recovery mechanisms layer on top of the fault model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ExecutionError
 from ..geo import NetworkModel
-from ..plan import PhysicalPlan, Ship, TableScan
+from ..plan import PhysicalPlan, Ship, TableScan, copy_plan
 from ..validation import validate_non_negative_int, validate_timeout
 from .fragments import Fragment, FragmentDAG, fragment_plan
 from .faults import stable_fraction
@@ -178,25 +178,15 @@ def relocate_fragment(
     body = {id(node) for node in fragment.body()}
     output_id = id(fragment.output) if fragment.output is not None else None
 
-    def rebuild(node: PhysicalPlan) -> PhysicalPlan:
-        overrides: dict[str, object] = {}
-        for attr in ("child", "left", "right"):
-            value = getattr(node, attr, None)
-            if isinstance(value, PhysicalPlan):
-                overrides[attr] = rebuild(value)
-        inputs = getattr(node, "inputs", None)
-        if isinstance(inputs, tuple):
-            overrides["inputs"] = tuple(rebuild(v) for v in inputs)
+    def move(node: PhysicalPlan, copy: PhysicalPlan) -> None:
         if id(node) == output_id:
-            overrides["source"] = new_site
+            copy.source = new_site  # type: ignore[attr-defined]
         elif id(node) in cut:
-            overrides["location"] = new_site
-            overrides["target"] = new_site
+            copy.location = copy.target = new_site  # type: ignore[attr-defined]
         elif id(node) in body:
-            overrides["location"] = new_site
-        return replace(node, **overrides)
+            copy.location = new_site
 
-    return rebuild(plan)
+    return copy_plan(plan, edit=move)
 
 
 # -- failover planning ---------------------------------------------------------

@@ -20,10 +20,10 @@ expressions of a query).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from ..datatypes import DataType
+from ..datatypes import DataType, arithmetic_result_type
 
 
 @dataclass(frozen=True)
@@ -275,17 +275,18 @@ class Like(Expression):
 
 @dataclass(frozen=True)
 class InList(Expression):
-    """SQL ``IN (v1, v2, ...)`` against constant values."""
+    """SQL ``IN (v1, v2, ...)`` against constant values.  The values are
+    children after the operand, so rewrites and walks reach them."""
 
     operand: Expression
     values: tuple[Literal, ...]
     negated: bool = False
 
     def children(self) -> tuple[Expression, ...]:
-        return (self.operand,)
+        return (self.operand, *self.values)
 
     def with_children(self, children: tuple[Expression, ...]) -> Expression:
-        return InList(children[0], self.values, self.negated)
+        return InList(children[0], children[1:], self.negated)  # type: ignore[arg-type]
 
     def __str__(self) -> str:
         kw = "NOT IN" if self.negated else "IN"
@@ -414,41 +415,48 @@ def split_conjuncts(expr: Expression | None) -> list[Expression]:
     return [expr]
 
 
+def rewrite(
+    expr: Expression, f: Callable[[Expression], Expression | None]
+) -> Expression:
+    """Rewrite ``expr`` top-down: where ``f(node)`` returns an expression
+    it replaces the whole subtree; where it returns ``None`` the walk
+    descends into the children.  Unchanged subtrees (and ``expr`` itself,
+    when nothing changed) are returned as the same objects."""
+    replacement = f(expr)
+    if replacement is not None:
+        return replacement
+    kids = expr.children()
+    if not kids:
+        return expr
+    new_kids = tuple(rewrite(k, f) for k in kids)
+    if new_kids == kids:
+        return expr
+    return expr.with_children(new_kids)
+
+
 def substitute(expr: Expression, mapping: Mapping[str, Expression]) -> Expression:
     """Replace every :class:`ColumnRef` whose name is in ``mapping`` with
     the mapped expression (used when pushing predicates through
     projections)."""
-    if isinstance(expr, ColumnRef):
-        return mapping.get(expr.name, expr)
-    kids = expr.children()
-    if not kids:
-        return expr
-    new_kids = tuple(substitute(k, mapping) for k in kids)
-    if new_kids == kids:
-        return expr
-    return expr.with_children(new_kids)
+    return rewrite(
+        expr,
+        lambda n: mapping.get(n.name, n) if isinstance(n, ColumnRef) else None,
+    )
 
 
 def rename_columns(expr: Expression, renames: Mapping[str, str]) -> Expression:
     """Rename column references according to ``renames``."""
-    if isinstance(expr, ColumnRef):
-        new_name = renames.get(expr.name)
-        if new_name is None:
-            return expr
-        return ColumnRef(new_name, expr.dtype, expr.base)
-    kids = expr.children()
-    if not kids:
-        return expr
-    new_kids = tuple(rename_columns(k, renames) for k in kids)
-    if new_kids == kids:
-        return expr
-    return expr.with_children(new_kids)
+
+    def rename(node: Expression) -> Expression | None:
+        if not isinstance(node, ColumnRef) or node.name not in renames:
+            return None
+        return ColumnRef(renames[node.name], node.dtype, node.base)
+
+    return rewrite(expr, rename)
 
 
 def expression_dtype(expr: Expression) -> DataType:
     """Derive the result type of a bound expression tree."""
-    from ..datatypes import arithmetic_result_type
-
     if isinstance(expr, Literal):
         return expr.dtype
     if isinstance(expr, ColumnRef):

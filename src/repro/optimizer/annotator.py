@@ -23,13 +23,13 @@ locations legal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import NonCompliantQueryError, OptimizerError
 from ..plan import Field, LogicalPlan, LogicalScan
 from .cost import CostModel
 from .explore import ExploreStats, explore
-from .memo import GroupRef, Memo, MExpr
+from .memo import Memo, MExpr
 from .normalize import normalize
 from .rules.aggregates import AggregateJoinTranspose
 from .rules.unions import AggregateUnionTranspose

@@ -22,7 +22,6 @@ results before and after.
 from __future__ import annotations
 
 from ..expr import (
-    ColumnRef,
     Expression,
     conjunction,
     split_conjuncts,

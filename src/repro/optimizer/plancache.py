@@ -78,7 +78,7 @@ cached: a rejected template pays full optimization on every submission.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Hashable
 
 from ..datatypes import DataType
@@ -92,27 +92,11 @@ from ..expr import (
     Literal,
     Not,
     Or,
+    rewrite,
     walk,
 )
 from ..expr.predicates import column_key
-from ..plan import (
-    Filter,
-    HashAggregate,
-    HashJoin,
-    LogicalAggregate,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalPlan,
-    LogicalProject,
-    LogicalScan,
-    NestedLoopJoin,
-    PhysicalPlan,
-    Project,
-    Ship,
-    Sort,
-    TableScan,
-    UnionAll,
-)
+from ..plan import LogicalPlan, LogicalScan, PhysicalPlan, copy_plan, map_field
 from ..policy import PolicyCatalog, PolicyEvaluator
 
 
@@ -323,7 +307,15 @@ class PlanCache:
         for old, new in zip(entry.bindings, prepared.bindings):
             if old.value != new.value:
                 mapping[(old.dtype, old.value)] = new
-        return _clone_physical(entry.plan, mapping)
+
+        def rebind(node: Expression) -> Expression | None:
+            if isinstance(node, Literal):
+                return mapping.get((node.dtype, node.value))
+            return None
+
+        return copy_plan(
+            entry.plan, (lambda e: rewrite(e, rebind)) if mapping else None
+        )
 
 
 # -- parameterization internals -------------------------------------------------
@@ -337,8 +329,9 @@ def prepare_query(plan: LogicalPlan, policies: PolicyCatalog) -> PreparedQuery:
     atoms: list[tuple[Hashable, tuple[Literal, ...]]] = []
     census: Counter = Counter()
     for expr, is_predicate in _plan_expressions(plan):
-        for lit in _literals(expr):
-            census[(lit.dtype, lit.value)] += 1
+        for node in walk(expr):
+            if isinstance(node, Literal):
+                census[(node.dtype, node.value)] += 1
         if is_predicate:
             _scan_predicate(expr, atoms, key_uses)
 
@@ -351,9 +344,14 @@ def prepare_query(plan: LogicalPlan, policies: PolicyCatalog) -> PreparedQuery:
                 free.add((lit.dtype, lit.value))
 
     bindings: list[Literal] = []
-    shape = _map_plan_expressions(
-        plan, lambda e: _parameterize_expr(e, free, bindings)
-    )
+
+    def parameterize(node: Expression) -> Expression | None:
+        if not isinstance(node, Literal) or (node.dtype, node.value) not in free:
+            return None
+        bindings.append(node)
+        return Literal(_Param(len(bindings) - 1), node.dtype)
+
+    shape = _map_plan_expressions(plan, lambda e: rewrite(e, parameterize))
     return PreparedQuery(
         shape=shape,
         signature=tuple(b.dtype for b in bindings),
@@ -385,31 +383,15 @@ def _sensitive_keys(plan: LogicalPlan, policies: PolicyCatalog) -> set[Hashable]
 
 def _plan_expressions(plan: LogicalPlan):
     """Yield ``(expression, is_predicate)`` for every expression the
-    plan carries."""
+    plan carries (see :attr:`LogicalPlan.expr_fields`)."""
     for node in plan.walk():
-        if isinstance(node, LogicalFilter):
-            yield node.predicate, True
-        elif isinstance(node, LogicalJoin):
-            if node.condition is not None:
-                yield node.condition, True
-        elif isinstance(node, LogicalProject):
-            for expr in node.exprs:
-                yield expr, False
-        elif isinstance(node, LogicalAggregate):
-            for key in node.group_keys:
-                yield key, False
-            for agg in node.aggregates:
-                yield agg, False
-
-
-def _literals(expr: Expression):
-    """Every :class:`Literal` occurrence in ``expr`` — including
-    ``InList.values``, which are not expression children."""
-    for node in walk(expr):
-        if isinstance(node, Literal):
-            yield node
-        elif isinstance(node, InList):
-            yield from node.values
+        for name in node.expr_fields:
+            value = getattr(node, name)
+            if isinstance(value, tuple):
+                for expr in value:
+                    yield expr, False
+            elif value is not None:
+                yield value, True
 
 
 def _scan_predicate(
@@ -449,156 +431,16 @@ def _scan_predicate(
             key_uses[column_key(node)] += 1
 
 
-def _parameterize_expr(
-    expr: Expression,
-    free: set[tuple[DataType, object]],
-    bindings: list[Literal],
-) -> Expression:
-    if isinstance(expr, Literal):
-        if (expr.dtype, expr.value) in free:
-            marker = Literal(_Param(len(bindings)), expr.dtype)
-            bindings.append(expr)
-            return marker
-        return expr
-    if isinstance(expr, InList):
-        operand = _parameterize_expr(expr.operand, free, bindings)
-        values = tuple(
-            _parameterize_expr(v, free, bindings) for v in expr.values
-        )
-        if operand is expr.operand and values == expr.values:
-            return expr
-        return InList(operand, values, expr.negated)  # type: ignore[arg-type]
-    kids = expr.children()
-    if not kids:
-        return expr
-    new_kids = tuple(_parameterize_expr(k, free, bindings) for k in kids)
-    if new_kids == kids:
-        return expr
-    return expr.with_children(new_kids)
-
-
 def _map_plan_expressions(node: LogicalPlan, f) -> LogicalPlan:
     """Rebuild a logical plan applying ``f`` to every carried
-    expression, children first (deterministic marker order)."""
-    kids = tuple(_map_plan_expressions(c, f) for c in node.children())
-    if isinstance(node, LogicalFilter):
-        return LogicalFilter(kids[0], f(node.predicate))
-    if isinstance(node, LogicalJoin):
-        condition = None if node.condition is None else f(node.condition)
-        return LogicalJoin(kids[0], kids[1], condition)
-    if isinstance(node, LogicalProject):
-        return LogicalProject(kids[0], tuple(f(e) for e in node.exprs), node.names)
-    if isinstance(node, LogicalAggregate):
-        return LogicalAggregate(
-            kids[0],
-            node.group_keys,
-            tuple(f(a) for a in node.aggregates),
-            node.agg_names,
-        )
-    if kids == node.children():
-        return node
-    return node.with_children(kids)
-
-
-# -- rebinding internals --------------------------------------------------------
-
-
-def _rebind_expr(
-    expr: Expression, mapping: dict[tuple[DataType, object], Literal]
-) -> Expression:
-    if isinstance(expr, Literal):
-        return mapping.get((expr.dtype, expr.value), expr)
-    if isinstance(expr, InList):
-        operand = _rebind_expr(expr.operand, mapping)
-        values = tuple(
-            mapping.get((v.dtype, v.value), v) for v in expr.values
-        )
-        if operand is expr.operand and values == expr.values:
-            return expr
-        return InList(operand, values, expr.negated)
-    kids = expr.children()
-    if not kids:
-        return expr
-    new_kids = tuple(_rebind_expr(k, mapping) for k in kids)
-    if new_kids == kids:
-        return expr
-    return expr.with_children(new_kids)
-
-
-def _clone_physical(
-    node: PhysicalPlan, mapping: dict[tuple[DataType, object], Literal]
-) -> PhysicalPlan:
-    """Deep copy with free-constant substitution in every expression."""
-
-    def expr(e):
-        return None if e is None else _rebind_expr(e, mapping)
-
-    common = dict(
-        fields=node.fields,
-        location=node.location,
-        estimated_rows=node.estimated_rows,
-        execution_trait=node.execution_trait,
+    expression, children first (deterministic marker order).  Nodes are
+    rebuilt through their constructors, so no derived (cached) state of
+    the original carries over."""
+    node = node.with_children(
+        tuple(_map_plan_expressions(c, f) for c in node.children())
     )
-    if isinstance(node, TableScan):
-        return TableScan(
-            **common, table=node.table, database=node.database, alias=node.alias
-        )
-    if isinstance(node, Filter):
-        return Filter(
-            **common,
-            child=_clone_physical(node.child, mapping),
-            predicate=expr(node.predicate),
-        )
-    if isinstance(node, Project):
-        return Project(
-            **common,
-            child=_clone_physical(node.child, mapping),
-            exprs=tuple(expr(e) for e in node.exprs),
-            names=node.names,
-        )
-    if isinstance(node, HashJoin):
-        return HashJoin(
-            **common,
-            left=_clone_physical(node.left, mapping),
-            right=_clone_physical(node.right, mapping),
-            left_keys=node.left_keys,
-            right_keys=node.right_keys,
-            residual=expr(node.residual),
-        )
-    if isinstance(node, NestedLoopJoin):
-        return NestedLoopJoin(
-            **common,
-            left=_clone_physical(node.left, mapping),
-            right=_clone_physical(node.right, mapping),
-            condition=expr(node.condition),
-        )
-    if isinstance(node, HashAggregate):
-        return HashAggregate(
-            **common,
-            child=_clone_physical(node.child, mapping),
-            group_keys=node.group_keys,
-            aggregates=tuple(expr(a) for a in node.aggregates),
-            agg_names=node.agg_names,
-        )
-    if isinstance(node, UnionAll):
-        return UnionAll(
-            **common,
-            inputs=tuple(_clone_physical(c, mapping) for c in node.inputs),
-        )
-    if isinstance(node, Sort):
-        return Sort(
-            **common,
-            child=_clone_physical(node.child, mapping),
-            sort_keys=node.sort_keys,
-            limit=node.limit,
-        )
-    if isinstance(node, Ship):
-        return Ship(
-            **common,
-            child=_clone_physical(node.child, mapping),
-            source=node.source,
-            target=node.target,
-        )
-    raise TypeError(
-        f"unknown physical operator {type(node).__name__}"
-    )  # pragma: no cover - defensive
+    if not node.expr_fields:
+        return node
+    return dc_replace(
+        node, **{name: map_field(getattr(node, name), f) for name in node.expr_fields}
+    )

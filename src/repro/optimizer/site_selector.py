@@ -27,7 +27,6 @@ from ..plan import (
     LogicalAggregate,
     LogicalFilter,
     LogicalJoin,
-    LogicalPlan,
     LogicalProject,
     LogicalScan,
     LogicalSort,

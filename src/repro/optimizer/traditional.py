@@ -15,14 +15,12 @@ import time
 from ..catalog import Catalog
 from ..geo import NetworkModel, synthetic_network
 from ..plan import LogicalPlan, PhysicalPlan, Sort
-from ..policy import PolicyCatalog, PolicyEvaluator
 from ..sql import Binder
 from .annotator import PlanAnnotator, default_rules
 from .compliant import OptimizationResult, _strip_sort
 from .cost import CostModel
 from .normalize import normalize
 from .site_selector import SiteSelector
-from .validator import check_compliance
 
 
 class TraditionalOptimizer:
@@ -90,7 +88,3 @@ class TraditionalOptimizer:
             phase1_seconds=phase1,
             phase2_seconds=phase2,
         )
-
-    def is_plan_compliant(self, plan: PhysicalPlan, policies: PolicyCatalog) -> bool:
-        """Label a traditional plan C/NC for the effectiveness experiments."""
-        return not check_compliance(plan, PolicyEvaluator(policies))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from ..errors import CatalogError, ComplianceViolationError
 from ..expr import conjunction
 from ..plan import (
-    Field,
     Filter,
     HashAggregate,
     HashJoin,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterator
+from typing import ClassVar, Hashable, Iterator
 
 from ..datatypes import DataType
 from ..errors import OptimizerError
@@ -46,6 +46,10 @@ class Field:
 
 class LogicalPlan:
     """Base class of all logical operators."""
+
+    #: Names of the fields holding expressions: a single-valued one holds
+    #: a predicate (or ``None``), a tuple-valued one output expressions.
+    expr_fields: ClassVar[tuple[str, ...]] = ()
 
     def children(self) -> tuple["LogicalPlan", ...]:
         raise NotImplementedError
@@ -126,6 +130,8 @@ class LogicalScan(LogicalPlan):
 class LogicalFilter(LogicalPlan):
     """Selection σ_predicate."""
 
+    expr_fields = ("predicate",)
+
     child: LogicalPlan
     predicate: Expression
 
@@ -183,6 +189,8 @@ class LogicalProject(LogicalPlan):
     SHIP (paper Fig. 1(b), operator Π_{c,n}).
     """
 
+    expr_fields = ("exprs",)
+
     child: LogicalPlan
     exprs: tuple[Expression, ...]
     names: tuple[str, ...]
@@ -221,6 +229,8 @@ class LogicalProject(LogicalPlan):
 class LogicalJoin(LogicalPlan):
     """Inner join with an optional condition (None = cross product)."""
 
+    expr_fields = ("condition",)
+
     left: LogicalPlan
     right: LogicalPlan
     condition: Expression | None
@@ -251,6 +261,8 @@ class LogicalAggregate(LogicalPlan):
     group keys (keeping name and provenance) followed by the aggregate
     results named ``agg_names``.
     """
+
+    expr_fields = ("group_keys", "aggregates")
 
     child: LogicalPlan
     group_keys: tuple[ColumnRef, ...]

@@ -8,13 +8,16 @@ the paper.
 
 Physical nodes are plain mutable dataclasses (they never enter the memo);
 each caches its output fields and the optimizer's cardinality estimate so
-the executor and the cost reports need no re-derivation.
+the executor and the cost reports need no re-derivation.  Each class
+declares which of its fields hold child operators and which hold
+expressions; :func:`copy_plan`, the one deep copy, reads only those
+declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Iterator
 
 from ..expr import AggregateCall, ColumnRef, Expression
 from .logical import Field
@@ -34,6 +37,12 @@ class PhysicalPlan:
     #: The recovery layer restricts failover placements to ⋂ℰ of a
     #: fragment's operators so re-placed plans stay compliant.
     execution_trait: frozenset[str] | None = None
+
+    #: Names of the fields holding child operators, in ``children()``
+    #: order; a tuple-valued field holds several.
+    child_fields: ClassVar[tuple[str, ...]] = ()
+    #: Names of the fields holding expressions (one, ``None``, or a tuple).
+    expr_fields: ClassVar[tuple[str, ...]] = ()
 
     def children(self) -> tuple["PhysicalPlan", ...]:
         return ()
@@ -74,6 +83,9 @@ class TableScan(PhysicalPlan):
 
 @dataclass
 class Filter(PhysicalPlan):
+    child_fields = ("child",)
+    expr_fields = ("predicate",)
+
     child: PhysicalPlan | None = None
     predicate: Expression | None = None
 
@@ -86,6 +98,9 @@ class Filter(PhysicalPlan):
 
 @dataclass
 class Project(PhysicalPlan):
+    child_fields = ("child",)
+    expr_fields = ("exprs",)
+
     child: PhysicalPlan | None = None
     exprs: tuple[Expression, ...] = ()
     names: tuple[str, ...] = ()
@@ -104,6 +119,9 @@ class Project(PhysicalPlan):
 @dataclass
 class HashJoin(PhysicalPlan):
     """Equi-join: build a hash table on the left keys, probe with right."""
+
+    child_fields = ("left", "right")
+    expr_fields = ("left_keys", "right_keys", "residual")
 
     left: PhysicalPlan | None = None
     right: PhysicalPlan | None = None
@@ -127,6 +145,9 @@ class HashJoin(PhysicalPlan):
 class NestedLoopJoin(PhysicalPlan):
     """Fallback join for non-equi (or missing) conditions."""
 
+    child_fields = ("left", "right")
+    expr_fields = ("condition",)
+
     left: PhysicalPlan | None = None
     right: PhysicalPlan | None = None
     condition: Expression | None = None
@@ -140,6 +161,9 @@ class NestedLoopJoin(PhysicalPlan):
 
 @dataclass
 class HashAggregate(PhysicalPlan):
+    child_fields = ("child",)
+    expr_fields = ("group_keys", "aggregates")
+
     child: PhysicalPlan | None = None
     group_keys: tuple[ColumnRef, ...] = ()
     aggregates: tuple[AggregateCall, ...] = ()
@@ -158,6 +182,8 @@ class HashAggregate(PhysicalPlan):
 
 @dataclass
 class UnionAll(PhysicalPlan):
+    child_fields = ("inputs",)
+
     inputs: tuple[PhysicalPlan, ...] = ()
 
     def children(self) -> tuple[PhysicalPlan, ...]:
@@ -169,6 +195,8 @@ class UnionAll(PhysicalPlan):
 
 @dataclass
 class Sort(PhysicalPlan):
+    child_fields = ("child",)
+
     child: PhysicalPlan | None = None
     sort_keys: tuple[tuple[str, bool], ...] = ()
     limit: int | None = None
@@ -190,6 +218,8 @@ class Ship(PhysicalPlan):
     border must be legal for the data it carries (Definition 1, c2).
     """
 
+    child_fields = ("child",)
+
     child: PhysicalPlan | None = None
     source: str = ""
     target: str = ""
@@ -204,3 +234,40 @@ class Ship(PhysicalPlan):
 def ship_operators(plan: PhysicalPlan) -> list[Ship]:
     """All Ship operators in ``plan``, in pre-order."""
     return [node for node in plan.walk() if isinstance(node, Ship)]
+
+
+def map_field(value, f):
+    """Apply ``f`` to a declared field's contents: to each item of a tuple
+    field, to a single value, or to nothing when the value is ``None``."""
+    if isinstance(value, tuple):
+        return tuple(f(v) for v in value)
+    return None if value is None else f(value)
+
+
+def copy_plan(
+    plan: PhysicalPlan,
+    expr: Callable[[Expression], Expression] | None = None,
+    edit: Callable[[PhysicalPlan, PhysicalPlan], None] | None = None,
+) -> PhysicalPlan:
+    """A deep copy of ``plan``: no node of the result is a node of ``plan``.
+
+    Post-order: each node is copied after its children, its expression
+    fields mapped through ``expr`` (shared when ``expr`` is ``None`` —
+    expressions are immutable), then ``edit(original, copy)`` may change
+    the fresh copy in place.  Only the declared :attr:`~PhysicalPlan.
+    child_fields` and :attr:`~PhysicalPlan.expr_fields` are visited."""
+
+    def copy(node: PhysicalPlan) -> PhysicalPlan:
+        new = object.__new__(type(node))
+        state = new.__dict__
+        state.update(node.__dict__)
+        for name in node.child_fields:
+            state[name] = map_field(state[name], copy)
+        if expr is not None:
+            for name in node.expr_fields:
+                state[name] = map_field(state[name], expr)
+        if edit is not None:
+            edit(node, new)
+        return new
+
+    return copy(plan)

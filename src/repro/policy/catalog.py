@@ -28,7 +28,6 @@ queries".
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
 
 from ..catalog import Catalog
 from ..errors import ReproError
@@ -117,9 +116,6 @@ class PolicyCatalog:
     def add_text(self, text: str, default_database: str | None = None) -> PolicyExpression:
         """Parse one policy expression and register it."""
         return self.add(parse_policy(text, self.catalog, default_database))
-
-    def add_texts(self, texts: Iterable[str]) -> list[PolicyExpression]:
-        return [self.add_text(t) for t in texts]
 
     def for_table(self, database: str, table: str) -> list[PolicyExpression]:
         return self._by_table.get((database, table.lower()), [])

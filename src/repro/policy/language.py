@@ -48,9 +48,6 @@ class PolicyExpression:
     group_by: frozenset[BaseColumn] = frozenset()
     source_text: str = ""
 
-    def allows_destination_wildcard(self) -> bool:
-        return self.destinations is None
-
     def destinations_resolved(self, all_locations: frozenset[str]) -> frozenset[str]:
         """Concrete destination set, expanding the ``*`` wildcard."""
         if self.destinations is None:

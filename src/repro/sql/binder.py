@@ -20,7 +20,7 @@ import datetime
 from dataclasses import dataclass
 
 from ..catalog import Catalog, GlobalTable
-from ..datatypes import DataType
+from ..datatypes import DataType, is_comparable
 from ..errors import BindingError
 from ..expr import (
     AggregateCall,
@@ -41,9 +41,8 @@ from ..expr import (
     Negate,
     Not,
     Or,
-    conjunction,
     expression_dtype,
-    walk,
+    rewrite,
 )
 from ..plan import (
     Field,
@@ -203,6 +202,7 @@ class Binder:
                 ctor = And if expr.op == "AND" else Or
                 return ctor((left, right))
             if expr.op in _COMPARISONS:
+                _check_comparable(left, right)
                 return Comparison(_COMPARISONS[expr.op], left, right)
             if expr.op in _ARITHMETIC:
                 return Arithmetic(_ARITHMETIC[expr.op], left, right)
@@ -218,11 +218,15 @@ class Binder:
         if isinstance(expr, AstIn):
             operand = self._bind_expr(expr.operand, scope, allow_aggregates)
             values = tuple(_bind_literal(v.value) for v in expr.values)
+            for value in values:
+                _check_comparable(operand, value)
             return InList(operand, values, expr.negated)
         if isinstance(expr, AstBetween):
             operand = self._bind_expr(expr.operand, scope, allow_aggregates)
             low = self._bind_expr(expr.low, scope, allow_aggregates)
             high = self._bind_expr(expr.high, scope, allow_aggregates)
+            _check_comparable(operand, low)
+            _check_comparable(operand, high)
             between: Expression = And(
                 (
                     Comparison(ComparisonOp.GE, operand, low),
@@ -307,18 +311,23 @@ class Binder:
 
         # Output (and HAVING) expressions may repeat a computed GROUP BY
         # expression verbatim (e.g. SELECT YEAR(o_orderdate) ... GROUP BY
-        # YEAR(o_orderdate)); rewrite such occurrences to the group key.
+        # YEAR(o_orderdate)); rewrite such occurrences to the group key,
+        # and every aggregate call to a reference to its output.
         group_key_map = list(zip(group_exprs, group_refs))
-        rewritten_items = [
-            _replace_aggregates(_replace_group_exprs(e, group_key_map), register)
-            for e in bound_items
-        ]
+
+        def to_grouped(node: Expression) -> Expression | None:
+            if isinstance(node, AggregateCall):
+                return register(node)  # arguments see pre-grouping values
+            if isinstance(node, Literal):
+                return node  # a constant needs no group key
+            for group_expr, ref in group_key_map:
+                if node == group_expr:
+                    return ref
+            return None
+
+        rewritten_items = [rewrite(e, to_grouped) for e in bound_items]
         rewritten_having = (
-            _replace_aggregates(
-                _replace_group_exprs(having_expr, group_key_map), register
-            )
-            if having_expr is not None
-            else None
+            rewrite(having_expr, to_grouped) if having_expr is not None else None
         )
 
         agg_names = tuple(f"$agg{i}" for i in range(len(agg_calls)))
@@ -404,33 +413,17 @@ def _bind_literal(value: object) -> Literal:
     raise BindingError(f"unsupported literal {value!r}")
 
 
-def _replace_group_exprs(
-    expr: Expression, group_key_map: list[tuple[Expression, ColumnRef]]
-) -> Expression:
-    for group_expr, ref in group_key_map:
-        if expr == group_expr:
-            return ref
-    if isinstance(expr, AggregateCall):
-        return expr  # aggregate arguments see pre-grouping values
-    kids = expr.children()
-    if not kids:
-        return expr
-    new_kids = tuple(_replace_group_exprs(k, group_key_map) for k in kids)
-    if new_kids == kids:
-        return expr
-    return expr.with_children(new_kids)
-
-
-def _replace_aggregates(expr: Expression, register) -> Expression:
-    if isinstance(expr, AggregateCall):
-        return register(expr)
-    kids = expr.children()
-    if not kids:
-        return expr
-    new_kids = tuple(_replace_aggregates(k, register) for k in kids)
-    if new_kids == kids:
-        return expr
-    return expr.with_children(new_kids)
+def _check_comparable(left: Expression, right: Expression) -> None:
+    """Reject comparing values of incomparable types (a NULL literal
+    compares with anything)."""
+    left_type, right_type = expression_dtype(left), expression_dtype(right)
+    if is_comparable(left_type, right_type) or any(
+        isinstance(e, Literal) and e.value is None for e in (left, right)
+    ):
+        return
+    raise BindingError(
+        f"cannot compare {left} ({left_type.value}) with {right} ({right_type.value})"
+    )
 
 
 def _unique_names(raw: list[str]) -> list[str]:

@@ -60,10 +60,6 @@ _EPOCH = datetime.date(1992, 1, 1)
 _DATE_RANGE_DAYS = (datetime.date(1998, 8, 2) - _EPOCH).days
 
 
-def _random_date(rng: random.Random, max_days: int = _DATE_RANGE_DAYS) -> datetime.date:
-    return _EPOCH + datetime.timedelta(days=rng.randrange(max_days))
-
-
 def _comment(rng: random.Random, length: int = 24) -> str:
     words = rng.sample(PART_NAME_WORDS, 3)
     return " ".join(words)[:length]

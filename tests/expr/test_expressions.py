@@ -25,6 +25,7 @@ from repro.expr import (
     disjunction,
     expression_dtype,
     rename_columns,
+    rewrite,
     split_conjuncts,
     substitute,
     walk,
@@ -55,6 +56,28 @@ def test_walk_yields_every_node():
     expr = Not(Comparison(ComparisonOp.EQ, A, TEN))
     kinds = {type(node).__name__ for node in walk(expr)}
     assert kinds == {"Not", "Comparison", "ColumnRef", "Literal"}
+    # IN-list values are children after the operand: walk() reaches them,
+    # and references() still names only the operand's columns.
+    five = Literal(5, DataType.INTEGER)
+    in_list = InList(A, (TEN, five))
+    assert in_list.children() == (A, TEN, five)
+    assert list(walk(in_list))[1:] == [five, TEN, A]
+    assert in_list.references() == {"t.a"}
+
+
+def test_rewrite_replaces_subtrees_top_down():
+    expr = And((Comparison(ComparisonOp.GT, A, TEN), InList(B, (TEN,))))
+    eleven = Literal(11, DataType.INTEGER)
+    bumped = rewrite(expr, lambda n: eleven if n == TEN else None)
+    assert bumped == And(
+        (Comparison(ComparisonOp.GT, A, eleven), InList(B, (eleven,)))
+    )
+    # A replaced subtree is not descended into.
+    seen = []
+    rewrite(expr, lambda n: seen.append(n) or (n if isinstance(n, Comparison) else None))
+    assert InList(B, (TEN,)) in seen and A not in seen
+    # Nothing changed: the very same object comes back.
+    assert rewrite(expr, lambda n: None) is expr
 
 
 def test_structural_equality_and_hash():

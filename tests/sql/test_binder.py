@@ -182,6 +182,36 @@ def test_between_translated(binder):
     assert "(t.a >= 1)" in str(predicate) and "(t.a <= 5)" in str(predicate)
 
 
+@pytest.mark.parametrize(
+    "where",
+    [
+        "a < 'x'",
+        "b = 1",
+        "d > 3",
+        "a BETWEEN 1 AND 'z'",
+        "NOT (b BETWEEN 1 AND 2)",
+        "a IN (1, 'two')",
+        "b NOT IN (1)",
+    ],
+)
+def test_incomparable_types_rejected(binder, where):
+    with pytest.raises(BindingError, match="cannot compare"):
+        binder.bind_sql(f"SELECT a FROM t WHERE {where}")
+
+
+@pytest.mark.parametrize(
+    "where", ["a = NULL", "NULL <> b", "d = NULL", "a BETWEEN NULL AND 2.5"]
+)
+def test_null_literal_compares_with_any_type(binder, where):
+    plan = binder.bind_sql(f"SELECT a FROM t WHERE {where}")
+    assert isinstance(plan.child, LogicalFilter)
+
+
+def test_in_list_value_equal_to_literal_group_key_stays_constant(binder):
+    plan = binder.bind_sql("SELECT a IN (1, 2) AS x FROM t GROUP BY a, 1")
+    assert str(plan.exprs[0]) == "(t.a IN (1, 2))"
+
+
 def test_fragmented_table_becomes_union():
     c = Catalog()
     c.add_database("db1", "L1")

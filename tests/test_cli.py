@@ -85,6 +85,39 @@ def test_invalid_sql_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("executor", ["row", "batch"])
+@pytest.mark.parametrize(
+    "where",
+    [
+        "c_custkey < 'a'",
+        "c_custkey > 'a'",
+        "c_custkey BETWEEN 'a' AND 'b'",
+        "c_custkey IN ('1')",
+    ],
+)
+def test_incomparable_comparison_is_a_typed_error(capsys, where, executor):
+    """Comparing an integer column with a string is a binding error (one
+    ``error:`` line, exit 1) on either executor — never a traceback and
+    never a silent empty result."""
+    code = main(
+        [
+            "run",
+            f"SELECT c_name FROM customer WHERE {where}",
+            "--scale",
+            "0.001",
+            "--executor",
+            executor,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    literal = "'1'" if "IN" in where else "'a'"
+    assert err.strip().splitlines() == [
+        f"error: cannot compare customer.c_custkey (integer) with {literal} (varchar)"
+    ]
+
+
 def test_serve_workload(tmp_path, capsys):
     workload = tmp_path / "workload.json"
     workload.write_text(
