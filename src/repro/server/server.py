@@ -189,7 +189,9 @@ class QueryServer:
         # current as the policy catalog it was checked against, so none
         # is kept here across requests.  (A compliant plan cache on the
         # optimizer makes this a cheap hit and invalidates precisely on
-        # policy reloads.)
+        # policy reloads.)  ``serve`` calls this once per request and
+        # keeps the plan while the request waits for capacity — no
+        # reload can happen inside one synchronous ``serve`` call.
         return guarded_plan(
             self.optimizer.optimize(request.sql), self.evaluator, "serve"
         )
@@ -219,6 +221,9 @@ class QueryServer:
         #: Waiting room, kept sorted by (-priority, arrival, index).
         queue: list[tuple[int, float, int, QueryRequest]] = []
         running: dict[int, Counter] = {}  # index -> fragments per site
+        #: Plan and per-site fragment counts of each request planned but
+        #: not yet dispatched (a blocked queue head is planned once).
+        planned: dict[int, tuple[PhysicalPlan, Counter]] = {}
         inflight: Counter = Counter()
         last_event = max((r.arrival for r in requests), default=0.0)
 
@@ -240,6 +245,7 @@ class QueryServer:
                 absolute = request.absolute_deadline(self.default_deadline)
                 if absolute is not None and now > absolute:
                     heapq.heappop(queue)
+                    planned.pop(index, None)
                     error = DeadlineExceeded(
                         f"request {request.label!r} spent "
                         f"{now - request.arrival:.3f}s queued, past its "
@@ -256,11 +262,17 @@ class QueryServer:
                             "shed", request.label, at=now, detail=str(error)
                         )
                     continue
-                plan = self._plan_for(request)
-                sites = Counter(f.location for f in fragment_plan(plan).fragments)
+                if index not in planned:
+                    plan = self._plan_for(request)
+                    planned[index] = (
+                        plan,
+                        Counter(f.location for f in fragment_plan(plan).fragments),
+                    )
+                plan, sites = planned[index]
                 if not can_start(sites):
                     return
                 heapq.heappop(queue)
+                del planned[index]
                 outcome = self._execute(index, request, plan, now, absolute)
                 outcomes[index] = outcome
                 finish = outcome.finished_at if outcome.finished_at is not None else now
@@ -300,7 +312,7 @@ class QueryServer:
             heapq.heappush(queue, (-request.priority, request.arrival, index, request))
             dispatch(now)
 
-        assert not queue and not running  # the loop drains everything
+        assert not queue and not running and not planned  # the loop drains everything
         final = self._account(metrics, outcomes, last_event)
         if cache_before is not None:
             after = plan_cache.stats

@@ -43,7 +43,6 @@ descriptor, so the replica actually read always shows up here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -59,6 +58,7 @@ from .events import (
     ScanReadEvent,
     ShipEvent,
     TraceEvent,
+    canonical_json,
 )
 from .recorder import read_trace
 
@@ -214,8 +214,12 @@ class ComplianceAuditor:
         #: descriptor of their logical transfer (collected up front —
         #: the rolled-up ship event is stamped at the *delivery*
         #: instant, after every chunk it summarizes).
-        transfer_payloads: dict[tuple, dict[str, Any]] = {}
-        for event in events:
+        transfer_payloads: dict[tuple, tuple[dict[str, Any], str]] = {}
+        #: Permitted-set cache key of every payload-carrying ship event,
+        #: by position: each attempt is keyed once, on its own payload,
+        #: and every chunk of a transfer reuses its ship event's key.
+        ship_keys: dict[int, str] = {}
+        for position, event in enumerate(events):
             if (
                 isinstance(event, OptimizedEvent)
                 and event.max_staleness is not None
@@ -229,9 +233,13 @@ class ComplianceAuditor:
                     event.source,
                     event.target,
                 )
-                transfer_payloads.setdefault(key, event.payload)
-                transfer_payloads.setdefault(key[:3], event.payload)
-        for event in events:
+                ship_keys[position] = canonical_json(
+                    strip_payload_reads(event.payload)
+                )
+                entry = (event.payload, ship_keys[position])
+                transfer_payloads.setdefault(key, entry)
+                transfer_payloads.setdefault(key[:3], entry)
+        for position, event in enumerate(events):
             report.events += 1
             if event.query:
                 seen_queries.add(event.query)
@@ -249,7 +257,7 @@ class ComplianceAuditor:
             if not isinstance(event, ShipEvent):
                 continue
             report.attempts += 1
-            self._audit_ship(event, report, seen_scans)
+            self._audit_ship(event, ship_keys.get(position), report, seen_scans)
             self._audit_ship_freshness(event, seen_claims, report)
         report.queries = len(seen_queries)
         report.payloads = len(self._permitted_cache)
@@ -261,6 +269,7 @@ class ComplianceAuditor:
     def _audit_ship(
         self,
         event: ShipEvent,
+        key: str | None,
         report: AuditReport,
         seen_scans: set[tuple[int, str, str, str]],
     ) -> None:
@@ -280,11 +289,6 @@ class ComplianceAuditor:
                 )
             )
             return
-        key = json.dumps(
-            strip_payload_reads(event.payload),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
         permitted = self._permitted_cache.get(key)
         payload = decode_logical(event.payload)
         self._audit_scan_sites(event, payload, report, seen_scans)
@@ -315,7 +319,7 @@ class ComplianceAuditor:
     def _audit_chunk(
         self,
         event: ChunkEvent,
-        transfer_payloads: dict[tuple, "dict[str, Any]"],
+        transfer_payloads: dict[tuple, "tuple[dict[str, Any], str]"],
         report: AuditReport,
     ) -> None:
         """Audit one chunk-send attempt against the payload descriptor
@@ -327,10 +331,10 @@ class ComplianceAuditor:
         so the chunk is still judged against the payload it belongs to —
         and a chunk that cannot be tied to any payload is unauditable,
         itself a violation."""
-        payload = transfer_payloads.get(
+        entry = transfer_payloads.get(
             (event.query, event.producer, event.consumer, event.source, event.target)
         ) or transfer_payloads.get((event.query, event.producer, event.consumer))
-        if payload is None:
+        if entry is None:
             report.violations.append(
                 ComplianceViolation(
                     query=event.query,
@@ -348,11 +352,7 @@ class ComplianceAuditor:
                 )
             )
             return
-        key = json.dumps(
-            strip_payload_reads(payload),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        payload, key = entry
         permitted = self._permitted_cache.get(key)
         if permitted is None:
             permitted = self.permitted_destinations(decode_logical(payload))

@@ -9,7 +9,11 @@ Wall-clock readings never appear in events: traces must be byte-stable
 across runs, and only the simulated timeline is deterministic.
 
 ``to_dict``/:func:`event_from_dict` round-trip events through plain
-JSON-compatible dicts; :func:`event_from_dict` raises a typed
+JSON-compatible dicts (``to_dict`` is shallow: the dict shares the
+event's lists and payload tree, which the encoder only reads), and
+:func:`canonical_json` is the one canonical encoder both the trace
+writer and the auditor's payload keys use.
+:func:`event_from_dict` raises a typed
 :class:`~repro.errors.TraceFormatError` for unknown kinds and missing
 or mistyped required fields, so a hand-edited or truncated trace fails
 the reader instead of silently skewing an audit.
@@ -18,6 +22,7 @@ the reader instead of silently skewing an audit.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -37,6 +42,12 @@ SHIP_OUTCOMES = (
     "timeout",  # per-fragment input-delivery timeout tripped
 )
 
+#: The canonical JSON form (sorted keys, no whitespace, UTF-8 kept
+#: as-is): one encoder built once instead of one per ``json.dumps``.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
+
 
 @dataclass
 class TraceEvent:
@@ -50,8 +61,10 @@ class TraceEvent:
     at: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        data = {"kind": type(self).kind}
-        data.update(dataclasses.asdict(self))
+        cls = type(self)
+        data = {"kind": cls.kind}
+        for name in _field_names(cls):
+            data[name] = getattr(self, name)
         return data
 
 
@@ -262,20 +275,41 @@ EVENT_TYPES: dict[str, type[TraceEvent]] = {
     )
 }
 
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The dataclass field names of ``cls``, introspected once per class."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return names
+
+
+#: Per-kind accepted keys of a serialized event (its fields plus the tag).
+_ACCEPTED: dict[str, frozenset[str]] = {
+    kind: frozenset(_field_names(cls)) | {"kind"}
+    for kind, cls in EVENT_TYPES.items()
+}
+
 #: Fields every event must carry in serialized form.
 _BASE_REQUIRED = ("query", "at")
 
-#: Per-kind additional required fields (the rest default sensibly).
+#: Per-kind required fields, the base pair first (the rest default
+#: sensibly).
 _REQUIRED: dict[str, tuple[str, ...]] = {
-    "query_start": (),
-    "optimized": ("result_location",),
-    "placement": ("operator", "location"),
-    "request": ("action", "label"),
-    "ship": ("source", "target", "bytes", "attempt", "outcome"),
-    "chunk": ("source", "target", "chunk", "outcome"),
-    "recovery": ("fragment", "source", "target"),
-    "scan_read": ("database", "table", "site", "staleness_at_read"),
-    "query_end": ("status",),
+    kind: (*_BASE_REQUIRED, *extra)
+    for kind, extra in {
+        "query_start": (),
+        "optimized": ("result_location",),
+        "placement": ("operator", "location"),
+        "request": ("action", "label"),
+        "ship": ("source", "target", "bytes", "attempt", "outcome"),
+        "chunk": ("source", "target", "chunk", "outcome"),
+        "recovery": ("fragment", "source", "target"),
+        "scan_read": ("database", "table", "site", "staleness_at_read"),
+        "query_end": ("status",),
+    }.items()
 }
 
 
@@ -288,22 +322,18 @@ def event_from_dict(data: Any) -> TraceEvent:
     cls = EVENT_TYPES.get(kind)
     if cls is None:
         raise TraceFormatError(f"unknown trace event kind {kind!r}")
-    missing = [
-        name
-        for name in (*_BASE_REQUIRED, *_REQUIRED[kind])
-        if name not in data
-    ]
+    missing = [name for name in _REQUIRED[kind] if name not in data]
     if missing:
         raise TraceFormatError(
             f"{kind} event is missing required field(s): {', '.join(missing)}"
         )
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names - {"kind"})
+    unknown = data.keys() - _ACCEPTED[kind]
     if unknown:
         raise TraceFormatError(
-            f"{kind} event has unknown field(s): {', '.join(unknown)}"
+            f"{kind} event has unknown field(s): {', '.join(sorted(unknown))}"
         )
-    kwargs = {k: v for k, v in data.items() if k in names}
+    kwargs = dict(data)
+    del kwargs["kind"]
     try:
         event = cls(**kwargs)
     except TypeError as error:  # pragma: no cover - defensive

@@ -38,6 +38,7 @@ from .events import (
     QueryStart,
     RequestEvent,
     TraceEvent,
+    canonical_json,
     event_from_dict,
 )
 
@@ -159,7 +160,9 @@ class TraceRecorder:
         """Serialize to JSON Lines, one event per line, in canonical
         order with canonical formatting (sorted keys, no whitespace) —
         the byte-stable on-disk form."""
-        return "".join(_canonical_line(event) + "\n" for event in self.events())
+        return "".join(
+            canonical_json(event.to_dict()) + "\n" for event in self.events()
+        )
 
     def write(self, path: str) -> int:
         """Write the JSONL trace to ``path``; returns the event count."""
@@ -172,21 +175,20 @@ class TraceRecorder:
         return len(self._events)
 
 
-def _canonical_line(event: TraceEvent) -> str:
-    return json.dumps(
-        event.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
-
-
 # -- reading -------------------------------------------------------------------
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse JSONL trace text into typed events; raises
     :class:`~repro.errors.TraceFormatError` (with the 1-based line
-    number) on any malformed line."""
+    number) on any malformed line.
+
+    Lines end at a line feed only: the canonical form keeps non-ASCII
+    text unescaped, so a label may hold U+2028 or U+0085, on which
+    ``str.splitlines`` would also break.  (JSON escapes line feeds
+    inside strings, and a carriage return before one is whitespace.)"""
     events: list[TraceEvent] = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -156,3 +156,37 @@ def test_cacheless_server_refuses_once_no_compliant_plan_is_left():
     world.policies.remove(world.policies.expressions[0])
     with pytest.raises(NonCompliantQueryError):
         server.serve(request)
+
+
+def test_blocked_queue_head_is_planned_once(carco):
+    """Plan-cache counters count requests, not dispatch attempts: at
+    ``concurrency=1`` four same-instant arrivals leave a blocked queue
+    head that every later arrival and completion re-tries, yet each
+    request is optimized exactly once."""
+    optimizer = CompliantOptimizer(
+        carco.catalog, carco.policies, carco.network, plan_cache=True
+    )
+    server = QueryServer(
+        carco.database,
+        carco.network,
+        optimizer=optimizer,
+        evaluator=optimizer.evaluator,
+        concurrency=1,
+    )
+    requests = [
+        QueryRequest(sql=carco.query, arrival=0.0, name=f"carco-{i}")
+        for i in range(4)
+    ]
+    recorder = TraceRecorder()
+    with tracing(recorder):
+        result = server.serve(requests)
+
+    dispatched = [o for o in result.outcomes if o.started_at is not None]
+    assert len(dispatched) == result.metrics.served == 4
+    # Serialized service: the queue head really was blocked.
+    starts = sorted(o.started_at for o in dispatched)
+    assert starts[1] > starts[0]
+    metrics = result.metrics
+    assert metrics.plan_cache_hits + metrics.plan_cache_misses == len(dispatched)
+    optimized = [e for e in recorder.events() if e.kind == "optimized"]
+    assert len(optimized) == len(dispatched)
