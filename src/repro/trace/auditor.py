@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..catalog import FRESHNESS_EPS, FreshnessTracker
-from ..errors import CatalogError, FreshnessAuditError
+from ..errors import CatalogError, FreshnessAuditError, TraceFormatError
 from ..policy import PolicyCatalog, PolicyEvaluator, describe_local_query
 from ..plan import LogicalPlan, LogicalScan, LogicalUnion
 from .codec import decode_logical, payload_reads, strip_payload_reads
@@ -250,15 +250,22 @@ class ComplianceAuditor:
                     event, bounds.get(event.query, self.max_staleness), report
                 )
                 continue
-            if isinstance(event, ChunkEvent):
-                report.chunk_attempts += 1
-                self._audit_chunk(event, transfer_payloads, report)
+            if not isinstance(event, (ChunkEvent, ShipEvent)):
                 continue
-            if not isinstance(event, ShipEvent):
-                continue
-            report.attempts += 1
-            self._audit_ship(event, ship_keys.get(position), report, seen_scans)
-            self._audit_ship_freshness(event, seen_claims, report)
+            try:
+                if isinstance(event, ChunkEvent):
+                    report.chunk_attempts += 1
+                    self._audit_chunk(event, transfer_payloads, report)
+                else:
+                    report.attempts += 1
+                    self._audit_ship(event, ship_keys.get(position), report, seen_scans)
+                    self._audit_ship_freshness(event, seen_claims, report)
+            except TraceFormatError as error:
+                # A payload that does not decode: name the event carrying it.
+                raise TraceFormatError(
+                    f"event {position + 1} (query {event.query}, "
+                    f"{event.source} -> {event.target}): {error}"
+                ) from error
         report.queries = len(seen_queries)
         report.payloads = len(self._permitted_cache)
         return report

@@ -1,439 +1,299 @@
 """JSON codec for shipped payload descriptors.
 
-A SHIP's *payload descriptor* is the logical subquery the shipped data
-is the result of — exactly the object the compliance machinery reasons
-about (:func:`repro.optimizer.validator.to_logical` strips the physical
-details; SHIPs are transparent because they move data without changing
-it).  Embedding the descriptor in every ship event makes a trace
-self-contained: the auditor re-derives the payload's permitted
-destinations from the descriptor and the policy set alone, without the
-plan, the optimizer, or the run that produced the trace.
-
-Encoding is lossless for everything compliance depends on: the decoded
-tree compares *structurally equal* to the original (frozen dataclasses),
-so provenance (:class:`~repro.expr.BaseColumn`), predicates (needed for
-policy-condition implication), aggregate structure, and scan locations
-all survive the round trip.  Dates are carried as ISO strings and
-revived by declared type; enums by value; tuples as JSON arrays.
-
-Decoding raises :class:`~repro.errors.TraceFormatError` on any
-malformed descriptor — an auditor must fail loudly on a trace it cannot
-interpret, never skip it.
+A SHIP's *payload descriptor* is the logical subquery its data is the
+result of (:func:`repro.optimizer.validator.to_logical`): with it in
+every ship event, the auditor re-derives each payload's permitted
+destinations from the trace and the policy set alone.  One declared
+schema drives the codec: :data:`_SCHEMA` has one row per node class, and
+both directions are built from it at import.  Any malformed descriptor
+— a missing or mistyped value, an unknown tag, an undeclared key —
+raises :class:`~repro.errors.TraceFormatError`: an auditor must fail
+loudly on a trace it cannot interpret.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any
+import operator
+from collections import namedtuple
+from functools import partial
+from typing import Any, Callable
 
 from ..datatypes import DataType
 from ..errors import TraceFormatError
 from ..expr import (
-    AggregateCall,
-    AggregateFunction,
-    And,
-    Arithmetic,
-    ArithmeticOp,
-    BaseColumn,
-    ColumnRef,
-    Comparison,
-    ComparisonOp,
-    Expression,
-    FunctionCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Negate,
-    Not,
-    Or,
+    AggregateCall, AggregateFunction, And, Arithmetic, ArithmeticOp, BaseColumn,
+    ColumnRef, Comparison, ComparisonOp, FunctionCall, InList, IsNull, Like,
+    Literal, Negate, Not, Or,
 )
 from ..plan import (
-    Field,
-    LogicalAggregate,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalPlan,
-    LogicalProject,
-    LogicalScan,
-    LogicalSort,
-    LogicalUnion,
+    Field, LogicalAggregate, LogicalFilter, LogicalJoin, LogicalProject,
+    LogicalScan, LogicalSort, LogicalUnion,
 )
 
-# -- expressions ---------------------------------------------------------------
+#: Scan-descriptor keys carrying a freshness claim (see the walkers below).
+PAYLOAD_READ_KEYS = ("read_at", "staleness_at_read")
+_REQUIRED = object()
+_VALUE = operator.attrgetter("value")
+#: A field's encoding, its checked decoding, and the value of an absent key.
+Kind = namedtuple("Kind", "encode decode missing", defaults=[_REQUIRED])
 
 
-def encode_expression(expr: Expression) -> dict[str, Any]:
-    if isinstance(expr, Literal):
-        value = expr.value
-        if isinstance(value, (_dt.date, _dt.datetime)):
-            value = value.isoformat()
-        return {"e": "lit", "v": value, "t": expr.dtype.value}
-    if isinstance(expr, ColumnRef):
-        return {
-            "e": "col",
-            "name": expr.name,
-            "t": expr.dtype.value,
-            "base": _encode_base(expr.base),
-        }
-    if isinstance(expr, Comparison):
-        return {
-            "e": "cmp",
-            "op": expr.op.value,
-            "l": encode_expression(expr.left),
-            "r": encode_expression(expr.right),
-        }
-    if isinstance(expr, And):
-        return {"e": "and", "ops": [encode_expression(o) for o in expr.operands]}
-    if isinstance(expr, Or):
-        return {"e": "or", "ops": [encode_expression(o) for o in expr.operands]}
-    if isinstance(expr, Not):
-        return {"e": "not", "op": encode_expression(expr.operand)}
-    if isinstance(expr, Arithmetic):
-        return {
-            "e": "arith",
-            "op": expr.op.value,
-            "l": encode_expression(expr.left),
-            "r": encode_expression(expr.right),
-        }
-    if isinstance(expr, Negate):
-        return {"e": "neg", "op": encode_expression(expr.operand)}
-    if isinstance(expr, Like):
-        return {
-            "e": "like",
-            "op": encode_expression(expr.operand),
-            "pattern": expr.pattern,
-            "negated": expr.negated,
-        }
-    if isinstance(expr, InList):
-        return {
-            "e": "in",
-            "op": encode_expression(expr.operand),
-            "values": [encode_expression(v) for v in expr.values],
-            "negated": expr.negated,
-        }
-    if isinstance(expr, IsNull):
-        return {
-            "e": "isnull",
-            "op": encode_expression(expr.operand),
-            "negated": expr.negated,
-        }
-    if isinstance(expr, FunctionCall):
-        return {
-            "e": "func",
-            "name": expr.name,
-            "args": [encode_expression(a) for a in expr.args],
-        }
-    if isinstance(expr, AggregateCall):
-        return {
-            "e": "agg",
-            "func": expr.func.value,
-            "arg": None if expr.argument is None else encode_expression(expr.argument),
-        }
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+class _Mistyped(Exception):
+    """A value of the wrong JSON type; the message says what it must be."""
 
 
-def decode_expression(data: Any) -> Expression:
+def _checked(test, must_be: str, convert=None, encode=None, missing=_REQUIRED):
+    def decode(value: Any) -> Any:
+        if not test(value):
+            raise _Mistyped(must_be)
+        return value if convert is None else convert(value)
+
+    return Kind(encode or (lambda value: value), decode, missing)
+
+
+def _of(*types: type) -> Callable[[Any], bool]:
+    return lambda value: type(value) in types  # exact: True is no integer
+
+
+def _list_of(test, size: int | None = None) -> Callable[[Any], bool]:
+    return lambda v: type(v) is list and size in (None, len(v)) and all(map(test, v))
+
+
+def _revive_date(kwargs: dict[str, Any]) -> None:  # ISO strings of DATE literals
+    if kwargs["dtype"] is DataType.DATE and isinstance(kwargs["value"], str):
+        kwargs["value"] = _dt.date.fromisoformat(kwargs["value"])
+
+
+STR = _checked(_of(str), "a string")
+BOOL = _checked(_of(bool), "a boolean")
+INT = _checked(_of(int), "an integer")
+OPTIONAL_INT = _checked(_of(int, type(None)), "an integer or null")
+STRS = _checked(_list_of(_of(str)), "a list of strings", tuple, list)
+SORT_KEYS = _checked(
+    _list_of(lambda pair: type(pair) is list and list(map(type, pair)) == [str, bool]),
+    "a list of [name, descending] pairs",
+    lambda pairs: tuple(map(tuple, pairs)), lambda pairs: list(map(list, pairs)))
+SCALAR = _checked(
+    _of(type(None), bool, int, float, str), "a JSON scalar",
+    encode=lambda v: v.isoformat() if isinstance(v, (_dt.date, _dt.datetime)) else v)
+PROVENANCE = _checked(
+    lambda v, triple=_list_of(_of(str), 3): v is None or triple(v),
+    "a [database, table, column] list or null",
+    lambda v: None if v is None else BaseColumn(*v),
+    lambda b: None if b is None else [b.database, b.table, b.column], missing=None)
+DTYPE = Kind(_VALUE, DataType)
+
+
+def _record(make, what: str, fields, head: dict, extra=(), finish=None):
+    """Encoder and decoder of one record; ``extra`` keys are tolerated
+    beyond the declared ones, ``finish`` edits the decoded attributes."""
+    declared = frozenset([*head, *(key for _, key, _ in fields), *extra])
+
+    def encode(node: Any) -> dict[str, Any]:
+        out = dict(head)
+        for attr, key, (encode_value, _, _) in fields:
+            out[key] = encode_value(getattr(node, attr))
+        return out
+
+    def decode(data: dict[str, Any]) -> Any:
+        if not declared.issuperset(data):
+            unknown = ", ".join(map(repr, sorted(data.keys() - declared)))
+            raise TraceFormatError(f"malformed {what}: undeclared key(s) {unknown}")
+        kwargs, key = {}, None
+        try:
+            for attr, key, (_, decode_value, missing) in fields:
+                value = data.get(key, missing)
+                if value is _REQUIRED:
+                    raise KeyError(key)
+                kwargs[attr] = decode_value(value)
+            if finish is not None:
+                finish(kwargs)
+            return make(**kwargs)
+        except _Mistyped as error:
+            raise TraceFormatError(
+                f"malformed {what}: {key!r} must be {error}, got {data[key]!r}"
+            ) from error
+        except (KeyError, ValueError, TypeError) as error:
+            raise TraceFormatError(f"malformed {what}: {error}") from error
+
+    return encode, decode
+
+
+_encode_field, _decode_field = _record(Field, "field descriptor", [
+    ("name", "name", STR), ("dtype", "t", DTYPE),
+    ("base", "base", PROVENANCE), ("width", "width", INT),
+], head={})
+FIELDS = _checked(
+    _list_of(_of(dict)), "a list of objects",
+    lambda items: tuple(map(_decode_field, items)),
+    lambda fields: list(map(_encode_field, fields)))
+
+#: Encoders by node class; decoders by family key, then tag.
+_ENCODERS: dict[type, Callable] = {}
+_DECODERS: dict[str, dict[str, Callable]] = {"e": {}, "o": {}}
+_NOUNS = {"e": ("expression", "expression tag"), "o": ("payload", "payload operator")}
+
+
+def encode(node: Any) -> dict[str, Any]:
+    """The descriptor of an expression or logical-operator tree."""
+    encode_node = _ENCODERS.get(type(node))
+    if encode_node is None:
+        raise TypeError(f"no descriptor schema for {type(node).__name__}")
+    return encode_node(node)
+
+
+def _decode(family: str, data: Any) -> Any:
     if not isinstance(data, dict):
-        raise TraceFormatError(f"expression descriptor must be an object, got {data!r}")
-    tag = data.get("e")
-    try:
-        if tag == "lit":
-            dtype = DataType(data["t"])
-            value = data["v"]
-            if dtype == DataType.DATE and isinstance(value, str):
-                value = _dt.date.fromisoformat(value)
-            return Literal(value, dtype)
-        if tag == "col":
-            return ColumnRef(
-                data["name"], DataType(data["t"]), _decode_base(data.get("base"))
-            )
-        if tag == "cmp":
-            return Comparison(
-                ComparisonOp(data["op"]),
-                decode_expression(data["l"]),
-                decode_expression(data["r"]),
-            )
-        if tag == "and":
-            return And(tuple(decode_expression(o) for o in data["ops"]))
-        if tag == "or":
-            return Or(tuple(decode_expression(o) for o in data["ops"]))
-        if tag == "not":
-            return Not(decode_expression(data["op"]))
-        if tag == "arith":
-            return Arithmetic(
-                ArithmeticOp(data["op"]),
-                decode_expression(data["l"]),
-                decode_expression(data["r"]),
-            )
-        if tag == "neg":
-            return Negate(decode_expression(data["op"]))
-        if tag == "like":
-            return Like(
-                decode_expression(data["op"]), data["pattern"], data["negated"]
-            )
-        if tag == "in":
-            values = tuple(decode_expression(v) for v in data["values"])
-            if not all(isinstance(v, Literal) for v in values):
-                raise TraceFormatError("IN-list values must be literals")
-            return InList(decode_expression(data["op"]), values, data["negated"])
-        if tag == "isnull":
-            return IsNull(decode_expression(data["op"]), data["negated"])
-        if tag == "func":
-            return FunctionCall(
-                data["name"], tuple(decode_expression(a) for a in data["args"])
-            )
-        if tag == "agg":
-            arg = data["arg"]
-            return AggregateCall(
-                AggregateFunction(data["func"]),
-                None if arg is None else decode_expression(arg),
-            )
-    except TraceFormatError:
-        raise
-    except (KeyError, ValueError, TypeError) as error:
-        raise TraceFormatError(
-            f"malformed {tag!r} expression descriptor: {error}"
-        ) from error
-    raise TraceFormatError(f"unknown expression tag {tag!r}")
+        noun = _NOUNS[family][0]
+        raise TraceFormatError(f"{noun} descriptor must be an object, got {data!r}")
+    tag = data.get(family)
+    decode_node = _DECODERS[family].get(tag) if isinstance(tag, str) else None
+    if decode_node is None:
+        raise TraceFormatError(f"unknown {_NOUNS[family][1]} {tag!r}")
+    return decode_node(data)
 
 
-def _encode_base(base: BaseColumn | None) -> list[str] | None:
-    if base is None:
-        return None
-    return [base.database, base.table, base.column]
+def _children(decode, only: type = object, message: str = "") -> Kind:
+    """A list of nodes, each of which must decode to an ``only``."""
+
+    def convert(items: list) -> tuple:
+        nodes = tuple(map(decode, items))
+        if not all(isinstance(node, only) for node in nodes):
+            raise TraceFormatError(message)
+        return nodes
+
+    return _checked(_of(list), "a list", convert, lambda n: list(map(encode, n)))
 
 
-def _decode_base(data: Any) -> BaseColumn | None:
-    if data is None:
-        return None
-    if not (isinstance(data, list) and len(data) == 3):
-        raise TraceFormatError(f"malformed provenance descriptor {data!r}")
-    return BaseColumn(*data)
+encode_expression = encode_logical = encode
+decode_expression, decode_logical = partial(_decode, "e"), partial(_decode, "o")
+E, E_TUPLE = Kind(encode, decode_expression), _children(decode_expression)
+P, P_TUPLE = Kind(encode, decode_logical), _children(decode_logical)
+E_OPT = Kind(lambda node: None if node is None else encode(node),
+             lambda data: None if data is None else decode_expression(data))
+OPERAND, NEGATED = ("operand", "op", E), ("negated", "negated", BOOL)
+BINARY = [("left", "l", E), ("right", "r", E)]
 
+#: Family key (``"e"`` expressions, ``"o"`` operators), tag, class and
+#: ``(attribute, key, kind)`` fields; then tolerated keys and a decode hook.
+_SCHEMA = [
+    ("e", "lit", Literal, [("value", "v", SCALAR), ("dtype", "t", DTYPE)],
+     (), _revive_date),
+    ("e", "col", ColumnRef,
+     [("name", "name", STR), ("dtype", "t", DTYPE), ("base", "base", PROVENANCE)]),
+    ("e", "cmp", Comparison, [("op", "op", Kind(_VALUE, ComparisonOp)), *BINARY]),
+    ("e", "and", And, [("operands", "ops", E_TUPLE)]),
+    ("e", "or", Or, [("operands", "ops", E_TUPLE)]),
+    ("e", "not", Not, [OPERAND]),
+    ("e", "arith", Arithmetic, [("op", "op", Kind(_VALUE, ArithmeticOp)), *BINARY]),
+    ("e", "neg", Negate, [OPERAND]),
+    ("e", "like", Like, [OPERAND, ("pattern", "pattern", STR), NEGATED]),
+    ("e", "in", InList, [OPERAND, ("values", "values", _children(
+        decode_expression, Literal, "IN-list values must be literals")), NEGATED]),
+    ("e", "isnull", IsNull, [OPERAND, NEGATED]),
+    ("e", "func", FunctionCall, [("name", "name", STR), ("args", "args", E_TUPLE)]),
+    ("e", "agg", AggregateCall,
+     [("func", "func", Kind(_VALUE, AggregateFunction)), ("argument", "arg", E_OPT)]),
+    ("o", "scan", LogicalScan, [
+        ("table", "table", STR), ("database", "database", STR),
+        ("location", "location", STR), ("alias", "alias", STR),
+        ("scan_fields", "fields", FIELDS),
+    ], PAYLOAD_READ_KEYS),
+    ("o", "filter", LogicalFilter,
+     [("child", "child", P), ("predicate", "predicate", E)]),
+    ("o", "project", LogicalProject,
+     [("child", "child", P), ("exprs", "exprs", E_TUPLE), ("names", "names", STRS)]),
+    ("o", "join", LogicalJoin,
+     [("left", "left", P), ("right", "right", P), ("condition", "condition", E_OPT)]),
+    ("o", "aggregate", LogicalAggregate, [
+        ("child", "child", P),
+        ("group_keys", "keys", _children(
+            decode_expression, ColumnRef, "group keys must be column references")),
+        ("aggregates", "aggs", _children(
+            decode_expression, AggregateCall, "aggregates must be aggregate calls")),
+        ("agg_names", "names", STRS),
+    ]),
+    ("o", "union", LogicalUnion, [("inputs", "inputs", P_TUPLE)]),
+    ("o", "sort", LogicalSort, [
+        ("child", "child", P), ("sort_keys", "keys", SORT_KEYS),
+        ("limit", "limit", OPTIONAL_INT),
+    ]),
+]
 
-# -- fields --------------------------------------------------------------------
-
-
-def _encode_field(field: Field) -> dict[str, Any]:
-    return {
-        "name": field.name,
-        "t": field.dtype.value,
-        "base": _encode_base(field.base),
-        "width": field.width,
-    }
-
-
-def _decode_field(data: Any) -> Field:
-    try:
-        return Field(
-            data["name"],
-            DataType(data["t"]),
-            _decode_base(data.get("base")),
-            data["width"],
-        )
-    except TraceFormatError:
-        raise
-    except (KeyError, ValueError, TypeError) as error:
-        raise TraceFormatError(f"malformed field descriptor: {error}") from error
-
-
-# -- logical plans -------------------------------------------------------------
-
-
-def encode_logical(plan: LogicalPlan) -> dict[str, Any]:
-    if isinstance(plan, LogicalScan):
-        return {
-            "o": "scan",
-            "table": plan.table,
-            "database": plan.database,
-            "location": plan.location,
-            "alias": plan.alias,
-            "fields": [_encode_field(f) for f in plan.scan_fields],
-        }
-    if isinstance(plan, LogicalFilter):
-        return {
-            "o": "filter",
-            "child": encode_logical(plan.child),
-            "predicate": encode_expression(plan.predicate),
-        }
-    if isinstance(plan, LogicalProject):
-        return {
-            "o": "project",
-            "child": encode_logical(plan.child),
-            "exprs": [encode_expression(e) for e in plan.exprs],
-            "names": list(plan.names),
-        }
-    if isinstance(plan, LogicalJoin):
-        return {
-            "o": "join",
-            "left": encode_logical(plan.left),
-            "right": encode_logical(plan.right),
-            "condition": None
-            if plan.condition is None
-            else encode_expression(plan.condition),
-        }
-    if isinstance(plan, LogicalAggregate):
-        return {
-            "o": "aggregate",
-            "child": encode_logical(plan.child),
-            "keys": [encode_expression(k) for k in plan.group_keys],
-            "aggs": [encode_expression(a) for a in plan.aggregates],
-            "names": list(plan.agg_names),
-        }
-    if isinstance(plan, LogicalUnion):
-        return {"o": "union", "inputs": [encode_logical(i) for i in plan.inputs]}
-    if isinstance(plan, LogicalSort):
-        return {
-            "o": "sort",
-            "child": encode_logical(plan.child),
-            "keys": [[name, desc] for name, desc in plan.sort_keys],
-            "limit": plan.limit,
-        }
-    raise TypeError(f"unknown logical operator {type(plan).__name__}")
-
-
-def decode_logical(data: Any) -> LogicalPlan:
-    if not isinstance(data, dict):
-        raise TraceFormatError(f"payload descriptor must be an object, got {data!r}")
-    tag = data.get("o")
-    try:
-        if tag == "scan":
-            return LogicalScan(
-                table=data["table"],
-                database=data["database"],
-                location=data["location"],
-                alias=data["alias"],
-                scan_fields=tuple(_decode_field(f) for f in data["fields"]),
-            )
-        if tag == "filter":
-            return LogicalFilter(
-                decode_logical(data["child"]), decode_expression(data["predicate"])
-            )
-        if tag == "project":
-            return LogicalProject(
-                decode_logical(data["child"]),
-                tuple(decode_expression(e) for e in data["exprs"]),
-                tuple(data["names"]),
-            )
-        if tag == "join":
-            condition = data["condition"]
-            return LogicalJoin(
-                decode_logical(data["left"]),
-                decode_logical(data["right"]),
-                None if condition is None else decode_expression(condition),
-            )
-        if tag == "aggregate":
-            keys = tuple(decode_expression(k) for k in data["keys"])
-            aggs = tuple(decode_expression(a) for a in data["aggs"])
-            if not all(isinstance(k, ColumnRef) for k in keys):
-                raise TraceFormatError("group keys must be column references")
-            if not all(isinstance(a, AggregateCall) for a in aggs):
-                raise TraceFormatError("aggregates must be aggregate calls")
-            return LogicalAggregate(
-                decode_logical(data["child"]), keys, aggs, tuple(data["names"])
-            )
-        if tag == "union":
-            return LogicalUnion(tuple(decode_logical(i) for i in data["inputs"]))
-        if tag == "sort":
-            return LogicalSort(
-                decode_logical(data["child"]),
-                tuple((name, desc) for name, desc in data["keys"]),
-                data["limit"],
-            )
-    except TraceFormatError:
-        raise
-    except (KeyError, ValueError, TypeError) as error:
-        raise TraceFormatError(
-            f"malformed {tag!r} payload descriptor: {error}"
-        ) from error
-    raise TraceFormatError(f"unknown payload operator {tag!r}")
+for _family, _tag, _cls, _fields, *_extras in _SCHEMA:
+    _ENCODERS[_cls], _DECODERS[_family][_tag] = _record(
+        _cls, f"{_tag!r} {_NOUNS[_family][0]} descriptor", _fields,
+        {_family: _tag}, *_extras,
+    )
 
 
 def encode_payload(physical: Any) -> dict[str, Any]:
-    """Descriptor of the logical subquery a physical subtree computes —
-    what a SHIP above it would move.  (Imported lazily: the optimizer
-    package itself emits trace events, so a module-level import here
-    would be circular.)"""
+    """Descriptor of the logical subquery a physical subtree computes
+    (imported lazily: the optimizer package itself emits trace events)."""
     from ..optimizer.validator import to_logical
 
-    return encode_logical(to_logical(physical))
+    return encode(to_logical(physical))
 
 
 # -- freshness annotations -----------------------------------------------------
-#
-# When a freshness policy is active, every scan descriptor inside a
-# shipped payload is stamped with the read it committed: the simulated
-# instant (``read_at``) and the staleness the copy had then
-# (``staleness_at_read``).  The keys ride alongside the structural
-# fields — ``decode_logical`` ignores them, so annotated payloads stay
-# decodable by pre-freshness readers — and the auditor re-derives each
-# claim independently from the catalog's refresh schedules.
+# A shipped scan descriptor may carry the read it committed (``read_at``,
+# ``staleness_at_read``).  The walkers follow only the keys declared as
+# plan children, the skeleton: a scan anywhere else fails to decode.
 
-#: Scan-descriptor keys carrying the freshness claim.
-PAYLOAD_READ_KEYS = ("read_at", "staleness_at_read")
+_PLAN_CHILD_KEYS = tuple(dict.fromkeys(
+    key for row in _SCHEMA for _, key, kind in row[3] if kind in (P, P_TUPLE)))
+
+
+def _map_skeleton(node: Any, visit: Callable[[dict], dict | None]) -> Any:
+    """``node`` with each skeleton descriptor replaced by ``visit``'s
+    result (``None`` keeps it), uncopied where unchanged; any JSON goes."""
+    if isinstance(node, list):
+        out = [_map_skeleton(item, visit) for item in node]
+        return node if all(map(operator.is_, out, node)) else out
+    if not isinstance(node, dict):
+        return node
+    changed = {}
+    for key in _PLAN_CHILD_KEYS:
+        if key in node and (child := _map_skeleton(node[key], visit)) is not node[key]:
+            changed[key] = child
+    node = {**node, **changed} if changed else node
+    replaced = visit(node)
+    return node if replaced is None else replaced
 
 
 def annotate_payload_reads(payload: dict[str, Any], reads) -> dict[str, Any]:
-    """A copy of ``payload`` with each scan descriptor stamped by its
-    matching committed read (``reads`` is an iterable of objects with
-    ``database``/``table``/``site``/``at_seconds``/``staleness_seconds``,
-    i.e. :class:`~repro.execution.metrics.ScanRead`).  Scans without a
-    matching read (primary reads) are left unstamped."""
+    """Encoded ``payload``, each scan stamped by its committed replica read
+    (:class:`~repro.execution.metrics.ScanRead`); primary reads have none."""
     by_copy = {(r.database, r.table.lower(), r.site): r for r in reads}
 
-    def walk(node: Any) -> Any:
-        if isinstance(node, dict):
-            out = {key: walk(value) for key, value in node.items()}
-            if out.get("o") == "scan":
-                read = by_copy.get(
-                    (out.get("database"), str(out.get("table", "")).lower(), out.get("location"))
-                )
-                if read is not None:
-                    out["read_at"] = read.at_seconds
-                    out["staleness_at_read"] = read.staleness_seconds
-            return out
-        if isinstance(node, list):
-            return [walk(item) for item in node]
-        return node
+    def stamp(node: dict) -> dict | None:
+        at = node.get("database"), str(node.get("table")).lower(), node.get("location")
+        read = by_copy.get(at) if node.get("o") == "scan" else None
+        return read and {**node, "read_at": read.at_seconds,
+                         "staleness_at_read": read.staleness_seconds}
 
-    return walk(payload)
+    return _map_skeleton(payload, stamp)
 
 
 def payload_reads(payload: dict[str, Any]) -> list[dict[str, Any]]:
-    """Every annotated scan descriptor in ``payload`` (each carries the
-    structural scan keys plus :data:`PAYLOAD_READ_KEYS`), in tree
-    order.  Empty for un-annotated payloads."""
+    """Every scan descriptor in ``payload`` with either read key, in tree order."""
     found: list[dict[str, Any]] = []
 
-    def walk(node: Any) -> None:
-        if isinstance(node, dict):
-            if node.get("o") == "scan" and "staleness_at_read" in node:
-                found.append(node)
-            for value in node.values():
-                walk(value)
-        elif isinstance(node, list):
-            for item in node:
-                walk(item)
+    def collect(node: dict) -> None:
+        if node.get("o") == "scan" and not node.keys().isdisjoint(PAYLOAD_READ_KEYS):
+            found.append(node)
 
-    walk(payload)
+    _map_skeleton(payload, collect)
     return found
 
 
 def strip_payload_reads(payload: dict[str, Any]) -> dict[str, Any]:
-    """A copy of ``payload`` without freshness annotations — the purely
-    structural descriptor, suitable as a cache key (re-reads of the same
-    subquery at different instants are compliance-identical)."""
+    """``payload`` without freshness annotations, as a cache key for re-reads
+    of one subquery; an un-annotated payload comes back as itself."""
 
-    def walk(node: Any) -> Any:
-        if isinstance(node, dict):
-            return {
-                key: walk(value)
-                for key, value in node.items()
-                if key not in PAYLOAD_READ_KEYS
-            }
-        if isinstance(node, list):
-            return [walk(item) for item in node]
-        return node
+    def strip(node: dict) -> dict | None:
+        if not node.keys().isdisjoint(PAYLOAD_READ_KEYS):
+            return {k: v for k, v in node.items() if k not in PAYLOAD_READ_KEYS}
 
-    return walk(payload)
+    return _map_skeleton(payload, strip)

@@ -6,12 +6,23 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from repro.catalog import Catalog, Column, TableSchema
 from repro.datatypes import DataType
 from repro.geo import GeoDatabase, NetworkModel, synthetic_network
 from repro.policy import PolicyCatalog, PolicyEvaluator
 from repro.tpch import build_benchmark, build_catalog, default_network
+
+#: ``--hypothesis-profile=deep`` runs the frozen-oracle fuzz tests (see
+#: :func:`fuzz_examples`) far longer; the CI ``deep-fuzz`` job uses it.
+settings.register_profile("deep", max_examples=5000, deadline=None)
+
+
+def fuzz_examples() -> int:
+    """Examples per frozen-oracle differential test: 200, or the active
+    Hypothesis profile's count when that is larger."""
+    return max(200, settings.default.max_examples)
 
 
 @dataclass

@@ -229,6 +229,85 @@ def test_audit_malformed_trace_exit_code(tmp_path, capsys):
     assert "error:" in err and "line 1" in err
 
 
+@pytest.fixture(scope="module")
+def q10_trace(tmp_path_factory):
+    """The events of one traced Q10 run under the CR policies."""
+    import json
+
+    trace = tmp_path_factory.mktemp("q10") / "q10.jsonl"
+    assert main(
+        ["run", "Q10", "--scale", "0.001", "--set", "CR", "--trace", str(trace)]
+    ) == 0
+    return [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+def _first_node(node, wanted):
+    """The first descriptor dict under ``node`` that ``wanted`` accepts."""
+    if isinstance(node, dict):
+        if wanted(node):
+            return node
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            found = _first_node(item, wanted)
+            if found is not None:
+                return found
+    return None
+
+
+@pytest.mark.parametrize(
+    "wanted, key, value, message",
+    [
+        pytest.param(
+            lambda d: d.get("e") == "lit", "v", [1, 2],
+            "'v' must be a JSON scalar, got [1, 2]", id="list-literal",
+        ),
+        pytest.param(
+            lambda d: d.get("o") == "scan", "table", 7,
+            "'table' must be a string, got 7", id="integer-table",
+        ),
+        pytest.param(
+            lambda d: d.get("e") == "col" and d.get("base"), "base", [1, 2, 3],
+            "'base' must be a [database, table, column] list or null, got [1, 2, 3]",
+            id="integer-provenance",
+        ),
+        pytest.param(
+            lambda d: d.get("e") == "col", "name", 5,
+            "'name' must be a string, got 5", id="integer-column-name",
+        ),
+        pytest.param(
+            lambda d: d.get("o") == "filter", "warp", 9,
+            "malformed 'filter' payload descriptor: undeclared key(s) 'warp'",
+            id="undeclared-filter-key",
+        ),
+    ],
+)
+def test_audit_rejects_a_mistyped_payload_with_one_error_line(
+    tmp_path, capsys, q10_trace, wanted, key, value, message
+):
+    """One tampered ship payload: exit 1 with a single typed error line
+    naming the event — never a traceback, never a clean audit."""
+    import json
+
+    events = json.loads(json.dumps(q10_trace))
+    ships = [e for e in events if e["kind"] == "ship" and e.get("payload")]
+    target = next(
+        node
+        for node in (_first_node(e["payload"], wanted) for e in ships)
+        if node is not None
+    )
+    target[key] = value
+    trace = tmp_path / "tampered.jsonl"
+    trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+    assert main(["audit", str(trace), "--set", "CR"]) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert message in errors[0]
+    assert errors[0].startswith("error: event ") and " (query 1, " in errors[0]
+
+
 def test_audit_with_policy_file(tmp_path, capsys):
     trace = tmp_path / "q3.jsonl"
     assert main(

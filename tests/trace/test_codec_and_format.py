@@ -71,17 +71,32 @@ def test_expression_round_trip(tpch_stats_catalog):
         assert decode_expression(encoded) == predicate
 
 
+#: A well-formed scan descriptor, so a case fails where it means to.
+SCAN = {
+    "o": "scan",
+    "table": "orders",
+    "database": "db1",
+    "location": "Europe",
+    "alias": "o",
+    "fields": [{"name": "o.k", "t": "integer", "base": None, "width": 8}],
+}
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload,match",
     [
-        "not-a-dict",
-        {"op": "teleport"},
-        {"op": "scan"},  # missing required keys
-        {"op": "filter", "child": {"op": "scan"}, "predicate": {"e": "warp"}},
+        ("not-a-dict", "payload descriptor must be an object"),
+        ({"o": "teleport"}, "unknown payload operator 'teleport'"),
+        ({"o": "scan"}, "malformed 'scan' payload descriptor: 'table'"),
+        (
+            {"o": "filter", "child": SCAN, "predicate": {"e": "warp"}},
+            "unknown expression tag 'warp'",
+        ),
     ],
+    ids=["not-a-dict", "payload1", "payload2", "payload3"],
 )
-def test_malformed_payloads_raise_typed_errors(payload):
-    with pytest.raises(TraceFormatError):
+def test_malformed_payloads_raise_typed_errors(payload, match):
+    with pytest.raises(TraceFormatError, match=match):
         decode_logical(payload)
 
 

@@ -172,6 +172,22 @@ def test_ship_claim_without_annotated_scan_fails_closed():
         auditor.audit_events(stripped)
 
 
+def test_half_stamped_payload_scan_fails_closed():
+    """A scan stamped with ``read_at`` alone is a claim the auditor
+    cannot check: it fails closed instead of being skipped."""
+    catalog, policies, events, _ = traced_run(mode="plan-only")
+    tampered = []
+    for event in events:
+        if isinstance(event, ShipEvent) and event.staleness_at_read is not None:
+            for node in payload_reads(event.payload):
+                del node["staleness_at_read"]
+            event = dataclasses.replace(event, staleness_at_read=None)
+        tampered.append(event)
+    auditor = ComplianceAuditor(policies, freshness=FreshnessTracker(catalog))
+    with pytest.raises(FreshnessAuditError, match="malformed freshness annotations"):
+        auditor.audit_events(tampered)
+
+
 def test_scheduled_replica_derivation_matches_runtime():
     """With a refresh schedule, the audit-side catalog must carry the
     same schedule for verdicts to re-derive — and then they agree with

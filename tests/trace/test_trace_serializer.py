@@ -30,6 +30,8 @@ from repro.trace import (
 )
 from repro.trace.events import SHIP_OUTCOMES
 
+from ..conftest import fuzz_examples
+
 
 def frozen_canonical_line(event: TraceEvent) -> str:
     """The earlier serializer, frozen: ``asdict`` deep copy, the
@@ -105,7 +107,7 @@ def recorded(events: list[TraceEvent]) -> TraceRecorder:
 # -- the serializer ------------------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fuzz_examples(), deadline=None)
 @given(st.lists(EVENTS, min_size=1, max_size=12))
 def test_to_jsonl_matches_the_frozen_serializer(events):
     recorder = recorded(events)
