@@ -10,10 +10,17 @@ leaves are the cut edges the fragment scheduler has already delivered
 from __future__ import annotations
 
 import time
+from itertools import product, starmap
+from operator import concat, itemgetter
 from typing import Any, Callable, Sequence
 
 from ..errors import ExecutionError
-from ..expr import AggregateFunction, compile_expression, compile_predicate
+from ..expr import (
+    column_positions,
+    compile_aggregation,
+    compile_filter,
+    compile_projection,
+)
 from ..geo import GeoDatabase
 from ..plan import (
     Filter,
@@ -171,15 +178,12 @@ class OperatorExecutor:
     def _filter(self, node: Filter) -> Result:
         assert node.child is not None and node.predicate is not None
         columns, rows = self.run(node.child)
-        predicate = compile_predicate(node.predicate, columns)
-        return columns, [r for r in rows if predicate(r)]
+        return columns, compile_filter(node.predicate, columns)(rows)
 
     def _project(self, node: Project) -> Result:
         assert node.child is not None
         columns, rows = self.run(node.child)
-        funcs = [compile_expression(e, columns) for e in node.exprs]
-        out = [tuple(f(row) for f in funcs) for row in rows]
-        return list(node.names), out
+        return list(node.names), compile_projection(node.exprs, columns)(rows)
 
     def _sort(self, node: Sort) -> Result:
         assert node.child is not None
@@ -211,29 +215,30 @@ class OperatorExecutor:
         assert node.left is not None and node.right is not None
         left_columns, left_rows = self.run(node.left)
         right_columns, right_rows = self.run(node.right)
-        left_key_funcs = [compile_expression(k, left_columns) for k in node.left_keys]
-        right_key_funcs = [
-            compile_expression(k, right_columns) for k in node.right_keys
-        ]
-        table: dict[tuple, list[Row]] = {}
+        left_key = itemgetter(*column_positions(node.left_keys, left_columns))
+        right_key = itemgetter(*column_positions(node.right_keys, right_columns))
+        composite = len(node.left_keys) > 1
+        table: dict[Any, list[Row]] = {}
         for row in left_rows:
-            key = tuple(f(row) for f in left_key_funcs)
-            if any(v is None for v in key):
+            key = left_key(row)
+            if key is None or composite and None in key:
                 continue  # NULL never matches in an equi-join
-            table.setdefault(key, []).append(row)
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [row]
+            else:
+                bucket.append(row)
+        # A probe key holding a NULL finds no bucket: none was built.
+        get = table.get
         out_columns = left_columns + right_columns
-        residual: Callable[[Sequence[Any]], bool] | None = None
-        if node.residual is not None:
-            residual = compile_predicate(node.residual, out_columns)
-        out: list[Row] = []
-        for row in right_rows:
-            key = tuple(f(row) for f in right_key_funcs)
-            if any(v is None for v in key):
-                continue
-            for match in table.get(key, ()):
-                joined = match + row
-                if residual is None or residual(joined):
-                    out.append(joined)
+        if node.residual is None:
+            out = [
+                match + row for row in right_rows for match in get(right_key(row), ())
+            ]
+        else:
+            out = compile_filter(node.residual, out_columns)(
+                match + row for row in right_rows for match in get(right_key(row), ())
+            )
         # The node's declared field order may differ from the natural
         # left+right concatenation after join commutation; remap.
         return self._remap(out_columns, out, node)
@@ -243,27 +248,18 @@ class OperatorExecutor:
         left_columns, left_rows = self.run(node.left)
         right_columns, right_rows = self.run(node.right)
         out_columns = left_columns + right_columns
-        out: list[Row] = []
+        joined = starmap(concat, product(left_rows, right_rows))
         if node.condition is None:
-            for lrow in left_rows:
-                for rrow in right_rows:
-                    out.append(lrow + rrow)
+            out = list(joined)
         else:
-            predicate = compile_predicate(node.condition, out_columns)
-            for lrow in left_rows:
-                for rrow in right_rows:
-                    joined = lrow + rrow
-                    if predicate(joined):
-                        out.append(joined)
+            out = compile_filter(node.condition, out_columns)(joined)
         return self._remap(out_columns, out, node)
 
     def _remap(self, columns: list[str], rows: list[Row], node: PhysicalPlan) -> Result:
         wanted = list(node.field_names)
         if wanted == columns:
             return columns, rows
-        index = {name: i for i, name in enumerate(columns)}
-        positions = [index[name] for name in wanted]
-        return wanted, [tuple(row[p] for p in positions) for row in rows]
+        return wanted, list(map(_fields(columns, wanted), rows))
 
     # -- set and aggregate -------------------------------------------------------
 
@@ -275,72 +271,21 @@ class OperatorExecutor:
             if child_columns == columns:
                 out.extend(child_rows)
             else:
-                index = {name: i for i, name in enumerate(child_columns)}
-                positions = [index[name] for name in columns]
-                out.extend(tuple(r[p] for p in positions) for r in child_rows)
+                out.extend(map(_fields(child_columns, columns), child_rows))
         return columns, out
 
     def _aggregate(self, node: HashAggregate) -> Result:
         assert node.child is not None
         columns, rows = self.run(node.child)
-        key_funcs = [compile_expression(k, columns) for k in node.group_keys]
-        arg_funcs: list[Callable[[Sequence[Any]], Any] | None] = []
-        for agg in node.aggregates:
-            if agg.argument is None:
-                arg_funcs.append(None)
-            else:
-                arg_funcs.append(compile_expression(agg.argument, columns))
-
-        groups: dict[tuple, list[_Accumulator]] = {}
-        for row in rows:
-            key = tuple(f(row) for f in key_funcs)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [_Accumulator(a.func) for a in node.aggregates]
-                groups[key] = accumulators
-            for accumulator, arg_func in zip(accumulators, arg_funcs):
-                accumulator.update(arg_func(row) if arg_func is not None else 1)
-
-        # A global aggregate over an empty input still yields one row.
-        if not groups and not node.group_keys:
-            groups[()] = [_Accumulator(a.func) for a in node.aggregates]
-
-        out = [
-            key + tuple(acc.result() for acc in accumulators)
-            for key, accumulators in groups.items()
-        ]
-        return list(node.field_names), out
+        aggregate = compile_aggregation(node.group_keys, node.aggregates, columns)
+        return list(node.field_names), aggregate(rows)
 
 
-class _Accumulator:
-    """Accumulator for one aggregate function (NULLs skipped, SQL-style)."""
-
-    __slots__ = ("func", "total", "count", "extreme")
-
-    def __init__(self, func: AggregateFunction) -> None:
-        self.func = func
-        self.total: Any = 0
-        self.count = 0
-        self.extreme: Any = None
-
-    def update(self, value: Any) -> None:
-        if value is None:
-            return
-        self.count += 1
-        if self.func in (AggregateFunction.SUM, AggregateFunction.AVG):
-            self.total += value
-        elif self.func == AggregateFunction.MIN:
-            if self.extreme is None or value < self.extreme:
-                self.extreme = value
-        elif self.func == AggregateFunction.MAX:
-            if self.extreme is None or value > self.extreme:
-                self.extreme = value
-
-    def result(self) -> Any:
-        if self.func == AggregateFunction.COUNT:
-            return self.count
-        if self.func == AggregateFunction.SUM:
-            return self.total if self.count else None
-        if self.func == AggregateFunction.AVG:
-            return self.total / self.count if self.count else None
-        return self.extreme
+def _fields(columns: list[str], wanted: list[str]) -> Callable[[Row], Row]:
+    """``row -> tuple of its fields named by wanted``, in C
+    (:func:`operator.itemgetter`) for two or more fields."""
+    index = {name: i for i, name in enumerate(columns)}
+    positions = [index[name] for name in wanted]
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda row: tuple(row[p] for p in positions)

@@ -1,10 +1,11 @@
 """Batch (columnar) expression kernels.
 
-:func:`compile_expression` in :mod:`repro.expr.evaluator` produces a
-``row -> value`` closure; evaluating a plan over hundreds of thousands
-of rows then pays a chain of Python calls *per row per expression node*.
-This module compiles the same bound expression trees into **kernels**
-that evaluate a whole column per call:
+:mod:`repro.expr.evaluator` compiles each row-backend operator into
+one generated Python function, so a row costs inlined bytecode rather
+than a Python call per expression node, but the row backend still
+builds and walks one tuple per row and per operator.  This module
+compiles the same bound expression trees into **kernels** that evaluate
+a whole column per call:
 
 ``kernel(columns, selection, nrows) -> column``
 

@@ -1,4 +1,4 @@
-"""Property-based agreement between batch kernels and row closures.
+"""Property-based agreement between batch kernels and the row evaluator.
 
 The batch executor is only correct if :func:`repro.expr.compile_kernel`
 and :func:`repro.expr.compile_predicate_kernel` agree with the row
